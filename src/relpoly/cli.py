@@ -5,8 +5,8 @@ q), ``count`` (failed-configuration counts), ``curve`` (R over a q grid),
 ``oracle`` (brute-force tally, optionally checked against the engine), and
 ``mc`` (Monte Carlo estimate).
 
-Exit codes: 0 success, 2 usage error, 3 resource cap exceeded,
-4 verification mismatch.
+Exit codes: 0 success, 2 usage error, 3 resource cap exceeded or out of
+memory, 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -306,6 +306,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print(
+            "error: out of memory. Try a smaller instance, or fall back to "
+            "the Monte Carlo estimator (CLI subcommand 'mc').",
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     except ValueError as exc:  # includes ShapeError
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,11 @@ estimate depends only on (seed, samples, batch size), never on scheduling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import ordered_map, resolve_workers
 from .model import SystemShape
 from .oracle import detect_failures
 
@@ -95,8 +94,9 @@ def estimate_failure_probability(
     """Estimate P(q) from ``samples`` independent random configurations.
 
     Same (shape, q, samples, seed, batch_size) always yields the identical
-    estimate.  ``workers=None`` reads RELPOLY_WORKERS and falls back to 1;
-    the worker count never affects the result.
+    estimate.  ``workers`` follows the engine's rule
+    (:func:`relpoly.engine.resolve_workers`); the worker count never
+    affects the result.
     """
     q = float(q)
     if not 0.0 <= q <= 1.0:
@@ -107,21 +107,17 @@ def estimate_failure_probability(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
-    if workers is None:
-        workers = int(os.environ.get("RELPOLY_WORKERS", "1"))
+    workers = resolve_workers(workers)
 
     sizes = [
         min(batch_size, samples - start)
         for start in range(0, samples, batch_size)
     ]
-    jobs = list(enumerate(sizes))
-    if workers <= 1 or len(jobs) <= 1:
-        counts = [_count_batch(shape, q, seed, i, sz) for i, sz in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(lambda job: _count_batch(shape, q, seed, *job), jobs)
-            )
+    counts = ordered_map(
+        lambda i, size: _count_batch(shape, q, seed, i, size),
+        list(enumerate(sizes)),
+        workers,
+    )
     failures = sum(counts)
 
     p_hat = failures / samples

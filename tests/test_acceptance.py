@@ -24,6 +24,7 @@ from relpoly import (
     estimate_failure_probability,
     failed_count,
     failure_polynomial,
+    iter_subset_terms,
     one_dim_recursion,
     reliability_polynomial,
     union_exponent_by_cells,
@@ -117,12 +118,14 @@ def test_criterion_3_inner_ie_equivalence():
                 assert union_exponent_by_cells(table, bits) == union_exponent_by_ie(
                     shape, group
                 ), (shape, bits)
+        # the zeta sweep against the per-subset cell route, summand by summand
         for shape in shapes:
             if shape.num_windows > 12:
                 continue
-            direct = failure_polynomial(shape, config=EngineConfig(fast_path="direct"))
-            zeta = failure_polynomial(shape, config=EngineConfig(fast_path="zeta"))
-            assert direct == zeta, shape
+            summed = IntPolynomial(
+                (t.exponent, t.sign) for t in iter_subset_terms(shape)
+            )
+            assert failure_polynomial(shape) == summed, shape
 
 
 def test_criterion_4_count_sequences():
@@ -203,11 +206,8 @@ def test_criterion_8_determinism_under_parallelism():
     with criterion(8, "determinism under parallelism"):
         shape = validate_shape([17], [2])
         assert shape.num_windows >= 16
-        for path in ("direct", "zeta"):
-            polys = [
-                failure_polynomial(
-                    shape, config=EngineConfig(fast_path=path, workers=w)
-                )
-                for w in (1, 2, 8)
-            ]
-            assert polys[0] == polys[1] == polys[2], path
+        polys = [
+            failure_polynomial(shape, config=EngineConfig(workers=w))
+            for w in (1, 2, 8)
+        ]
+        assert polys[0] == polys[1] == polys[2]

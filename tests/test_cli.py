@@ -64,6 +64,16 @@ class TestPoly:
         code, _, err = run(capsys, "poly", "--n", "40", "--s", "1")
         assert code == 3 and "mc" in err
 
+    def test_memory_error_exit_3_mentions_mc(self, capsys, monkeypatch):
+        import relpoly.cli as cli_module
+
+        def out_of_memory(shape):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "failure_polynomial", out_of_memory)
+        code, _, err = run(capsys, "poly", "--n", "3", "--s", "2", "--target", "p")
+        assert code == 3 and err.startswith("error:") and "'mc'" in err
+
 
 class TestEval:
     def test_exact_values(self, capsys):
@@ -235,6 +245,20 @@ class TestMc:
         code, _, _ = run(capsys, "mc", "--n", "3,3", "--s", "2,2", "--q", "0.3",
                          "--samples", "0", "--seed", "7")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poly", "--n", "3", "--s", "2"),
+        ("mc", "--n", "3", "--s", "2", "--q", "0.5", "--samples", "10",
+         "--seed", "1"),
+    ],
+)
+def test_bad_workers_env_exit_2_names_variable(capsys, monkeypatch, argv):
+    monkeypatch.setenv("RELPOLY_WORKERS", "abc")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "RELPOLY_WORKERS" in err and "'abc'" in err
 
 
 class TestParser:

@@ -241,14 +241,14 @@ class TestFailurePolynomial:
         assert poly == failure_polynomial(shape)
 
     def test_paths_agree(self):
-        direct = EngineConfig(fast_path="direct")
-        zeta = EngineConfig(fast_path="zeta")
+        # the zeta sweep against the per-subset cell route
         for n, s in [([6], [2]), ([3, 4], [2, 2]), ([2, 2, 3], [1, 2, 2]),
                      ([8], [1]), ([16], [14])]:
             shape = validate_shape(n, s)
-            assert failure_polynomial(shape, config=direct) == failure_polynomial(
-                shape, config=zeta
-            ), (n, s)
+            summed = IntPolynomial(
+                (t.exponent, t.sign) for t in iter_subset_terms(shape)
+            )
+            assert failure_polynomial(shape) == summed, (n, s)
 
     def test_dimension_permutation_symmetry(self):
         for n, s in [([2, 3], [1, 2]), ([2, 3, 4], [1, 2, 3]), ([4, 2], [2, 2])]:
@@ -270,14 +270,11 @@ class TestWorkers:
     def test_bit_identical_across_worker_counts(self):
         shape = validate_shape([17], [2])  # 16 windows
         assert shape.num_windows == 16
-        for path in ("direct", "zeta"):
-            polys = [
-                failure_polynomial(
-                    shape, config=EngineConfig(fast_path=path, workers=w)
-                )
-                for w in (1, 2, 8)
-            ]
-            assert polys[0] == polys[1] == polys[2], path
+        polys = [
+            failure_polynomial(shape, config=EngineConfig(workers=w))
+            for w in (1, 2, 8)
+        ]
+        assert polys[0] == polys[1] == polys[2]
 
     def test_workers_env_variable(self, monkeypatch):
         monkeypatch.setenv("RELPOLY_WORKERS", "3")
@@ -288,10 +285,6 @@ class TestWorkers:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             EngineConfig(workers=0).resolved_workers()
-
-    def test_invalid_fast_path(self):
-        with pytest.raises(ValueError):
-            EngineConfig(fast_path="magic")
 
 
 class TestCounts:

@@ -41,6 +41,11 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError):
             estimate_failure_probability(SHAPE, 0.5, 100, 7, batch_size=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="worker count"):
+            estimate_failure_probability(SHAPE, 0.5, 100, 7, workers=workers)
+
 
 class TestReproducibility:
     def test_same_seed_bit_identical(self):
