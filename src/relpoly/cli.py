@@ -21,6 +21,7 @@ from . import __version__
 from .engine import (
     count_sequence,
     failed_count,
+    failed_count_from_polynomial,
     failure_polynomial,
     reliability_polynomial,
 )
@@ -201,7 +202,10 @@ def cmd_oracle(args) -> int:
     print(f"P = {format_poly_text(poly)}")
     if args.check:
         engine_poly = failure_polynomial(shape)
-        if engine_poly == poly and failed_count(shape) == tally.total:
+        if (
+            engine_poly == poly
+            and failed_count_from_polynomial(shape, engine_poly) == tally.total
+        ):
             print("MATCH")
         else:
             print("MISMATCH")

@@ -1,9 +1,10 @@
-"""Exact failure/reliability polynomials by inclusion-exclusion.
+"""Exact failure/reliability polynomials, by two routes picked by cost.
 
-An *elementary failure* is a placement of the ``s_1 x ... x s_d`` window
-inside the array, identified by the 1-based offsets ``e`` of its minimal
-corner; there are ``|E| = prod(n_r - s_r + 1)`` of them.  The failure
-polynomial is the inclusion-exclusion sum over all nonempty subsets J of E:
+**Inclusion-exclusion.**  An *elementary failure* is a placement of the
+``s_1 x ... x s_d`` window inside the array, identified by the 1-based
+offsets ``e`` of its minimal corner; there are ``|E| = prod(n_r - s_r + 1)``
+of them.  The failure polynomial is the inclusion-exclusion sum over all
+nonempty subsets J of E:
 
     P(q) = sum over J of (-1)^(|J|+1) * q^k(J)
 
@@ -18,12 +19,27 @@ per-subset exponent routines serve as references:
   windows covering it; ``k(J)`` is the number of cells whose mask
   intersects J.  Equality of the two routines is a tested invariant.
 
-:func:`failure_polynomial` computes every exponent at once: one subset-sum
-(zeta) transform over the cell masks, O(2^|E| * |E|), turns each ``k(J)``
-into a table lookup, and the sweep tallies the lookups by exponent and sign
-in vectorized chunks.  :func:`iter_subset_terms` yields the same summands
-one at a time through ``union_exponent_by_cells``, as the reference the
-sweep is tested against.
+:func:`inclusion_exclusion_polynomial` computes every exponent at once: one
+subset-sum (zeta) transform over the cell masks, O(2^|E| * |E|), turns each
+``k(J)`` into a table lookup, and the sweep tallies the lookups by exponent
+and sign in vectorized chunks.  :func:`iter_subset_terms` yields the same
+summands one at a time through ``union_exponent_by_cells``, as the
+reference the sweep is tested against.
+
+**Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
+configurations by weight in one scan along an axis ``a`` (finite Markov
+chain imbedding: Fu & Koutras 1994; Yamamoto & Miyakawa 1995 for the
+lattice form).  Its state holds, for each cell of the cross-section, the
+run of failed cells along ``a`` that ends at the current layer, capped at
+``s_a``; there are at most ``(s_a + 1)^(N / n_a)`` states, and the scan
+costs about N * states * N.  The failed tally is ``C(N, k)`` minus the
+survivors, and the polynomial follows from it as in the oracle.
+
+:func:`failure_polynomial`, :func:`failed_count` and :func:`count_sequence`
+take whichever route :func:`choose_route` predicts to be faster among those
+whose predicted peak memory fits in half the machine's physical memory.
+Each route refuses with :class:`~relpoly.model.ResourceLimitError` before
+it allocates, and so does the choice when neither route fits.
 
 The worker rule lives here as well: :func:`resolve_workers` reads
 ``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs on a thread pool in
@@ -33,7 +49,9 @@ job order.  The Monte Carlo estimator uses both.
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,23 +65,31 @@ from .model import (
     SystemShape,
     validate_shape,
 )
+from .oracle import WeightTally, tally_to_polynomial
 
 __all__ = [
     "DEFAULT_INNER_IE_LIMIT",
     "DEFAULT_SUBSET_BOUND",
+    "INCLUSION_EXCLUSION",
+    "TRANSFER_MATRIX",
     "WORKERS_ENV_VAR",
     "CellMaskTable",
     "EngineConfig",
+    "RouteCost",
     "SubsetTerm",
     "build_cell_mask_table",
+    "choose_route",
     "count_sequence",
     "enumerate_elementary_failures",
     "failed_count",
+    "failed_count_from_polynomial",
     "failure_polynomial",
+    "inclusion_exclusion_polynomial",
     "intersection_volume",
     "iter_subset_terms",
     "pair_overlap_extent",
     "reliability_polynomial",
+    "transfer_matrix_tally",
     "union_exponent_by_cells",
     "union_exponent_by_ie",
 ]
@@ -71,9 +97,13 @@ __all__ = [
 #: Offsets of one elementary failure: 1-based minimal corner, one per axis.
 Offsets = tuple[int, ...]
 
-#: Exact computation refuses instances with more than this many windows
-#: (the sweep is 2^|E|).  Overridable via EngineConfig.
+#: The inclusion-exclusion route refuses instances with more than this many
+#: windows (the sweep is 2^|E|).  Overridable via EngineConfig.
 DEFAULT_SUBSET_BOUND = 26
+
+#: Route names, as reported by :func:`choose_route`.
+INCLUSION_EXCLUSION = "inclusion-exclusion"
+TRANSFER_MATRIX = "transfer-matrix"
 
 #: union_exponent_by_ie refuses subsets larger than this (cost 2^|J|).
 DEFAULT_INNER_IE_LIMIT = 20
@@ -85,6 +115,30 @@ WORKERS_ENV_VAR = "RELPOLY_WORKERS"
 # worker count, and merged by commutative integer addition, so results are
 # bit-identical for any worker count.
 _ZETA_CHUNK = 1 << 22
+
+# Peak bytes per subset index held in one zeta chunk's temporaries (int64
+# exponents and keys, uint64 indices, their popcounts): 17 measured with
+# tracemalloc, rounded up.
+_ZETA_CHUNK_BYTES_PER_SUBSET = 24
+
+# State-by-weight count matrices alive at the peak of one scan step, as
+# multiples of the current one: itself, the failed branch's rows, both
+# branches (up to twice as many rows), their sorted copy and the merged
+# result.
+_SCAN_LIVE_MATRICES = 8
+
+# The cost model of the two routes, in seconds.  Inclusion-exclusion costs
+# 2^|E| * |E| steps (transform plus sweep).  The transfer matrix costs, per
+# scanned cell, a fixed numpy overhead plus one step per state-by-weight
+# count: N * (cell + states * (N + 1) * entry), with the state bound as
+# the state count.  Fitted to timings of both routes at one worker on a
+# 2-core x86-64 host (Python 3.11, numpy 2.4): 0.85-1.9 ns per
+# inclusion-exclusion step for |E| >= 16; 31-43 us per cell, and 6 ns per
+# int64 or 20 ns per Python-int count.
+_IE_SECONDS_PER_STEP = 1.3e-9
+_SCAN_SECONDS_PER_CELL = 3.5e-5
+_SCAN_SECONDS_PER_INT64_ENTRY = 6e-9
+_SCAN_SECONDS_PER_OBJECT_ENTRY = 2e-8
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -122,12 +176,13 @@ def ordered_map(fn, jobs: Sequence[tuple], workers: int) -> list:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Resource caps for the exact sweep.
+    """Resource caps for the exact routes.
 
-    ``subset_bound`` is the largest window count |E| the sweep accepts; its
-    zeta table has 2^|E| entries.  ``workers=None`` reads the
-    RELPOLY_WORKERS environment variable and falls back to 1.  Neither
-    field changes the result, only whether and how fast it is computed.
+    ``subset_bound`` is the largest window count |E| the inclusion-exclusion
+    sweep accepts; its zeta table has 2^|E| entries.  It does not cap the
+    transfer matrix.  ``workers=None`` reads the RELPOLY_WORKERS
+    environment variable and falls back to 1.  Neither field changes the
+    result, only whether, how and how fast it is computed.
     """
 
     subset_bound: int = DEFAULT_SUBSET_BOUND
@@ -289,20 +344,135 @@ def iter_subset_terms(
         yield SubsetTerm(bits, sign, union_exponent_by_cells(table, bits))
 
 
-# -- the subset sweep ---------------------------------------------------------
+# -- route costs --------------------------------------------------------------
+
+
+class RouteCost(NamedTuple):
+    """Predicted cost of one exact route on one shape.
+
+    ``seconds`` and ``nbytes`` (peak memory) come from the calibrated cost
+    model.  ``refusal`` is None when the route can run, otherwise the
+    reason it cannot.  ``axis`` is the transfer matrix's scan axis.
+    """
+
+    route: str
+    seconds: float
+    nbytes: float
+    refusal: str | None
+    axis: int | None = None
+
+    def describe(self) -> str:
+        text = f"{self.route} predicts {self.seconds:.3g} s and {self.nbytes:.3g} bytes"
+        return f"{text} ({self.refusal})" if self.refusal else text
+
+
+def _over_budget(nbytes: float) -> str | None:
+    """Why ``nbytes`` may not be allocated, or None when it may.
+
+    One route may plan to hold half the physical memory, which leaves room
+    for the interpreter, other processes and a misestimate.
+    """
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
+    except (AttributeError, ValueError, OSError):  # not reported here
+        return None
+    if nbytes <= budget:
+        return None
+    return f"beyond the memory budget of {budget:.3g} bytes, half the physical memory"
+
+
+def _pow2(exponent: float) -> float:
+    return 2.0**exponent if exponent < 1000 else math.inf
+
+
+def _zeta_dtype(covered_cells: int) -> type:
+    """Narrowest unsigned dtype that holds every zeta table value."""
+    if covered_cells <= np.iinfo(np.uint8).max:
+        return np.uint8
+    if covered_cells <= np.iinfo(np.uint16).max:
+        return np.uint16
+    return np.uint32
+
+
+def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> RouteCost:
+    m = shape.num_windows
+    subsets = _pow2(m)
+    chunk = min(subsets, _ZETA_CHUNK) * config.resolved_workers()
+    nbytes = (
+        subsets * np.dtype(_zeta_dtype(shape.volume)).itemsize
+        + chunk * _ZETA_CHUNK_BYTES_PER_SUBSET
+    )
+    refusal = _over_budget(nbytes)
+    if m > config.subset_bound:
+        refusal = (
+            f"its sweep is 2^{m} subsets, beyond EngineConfig.subset_bound "
+            f"= {config.subset_bound}, which may be raised"
+        )
+    return RouteCost(
+        INCLUSION_EXCLUSION, _IE_SECONDS_PER_STEP * subsets * m, nbytes, refusal
+    )
+
+
+def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
+    n, s, volume = shape.n, shape.s, shape.volume
+
+    def log2_states(r: int) -> float:
+        return volume // n[r] * math.log2(s[r] + 1)
+
+    axis = min(range(shape.d), key=log2_states)
+    states = _pow2(log2_states(axis))
+    if volume < 63:  # every count is at most 2^N
+        entry_bytes, entry_seconds = 8, _SCAN_SECONDS_PER_INT64_ENTRY
+    else:
+        entry_bytes = 8 + sys.getsizeof(1 << volume)
+        entry_seconds = _SCAN_SECONDS_PER_OBJECT_ENTRY
+    entries = states * (volume + 1)
+    nbytes = _SCAN_LIVE_MATRICES * entries * entry_bytes
+    seconds = volume * (_SCAN_SECONDS_PER_CELL + entries * entry_seconds)
+    refusal = _over_budget(nbytes)
+    if states >= 2**63:
+        refusal = "its state codes overflow int64"
+    return RouteCost(TRANSFER_MATRIX, seconds, nbytes, refusal, axis)
+
+
+def _fallback(cost: RouteCost) -> str:
+    return (
+        f"{cost.describe()}. Fall back to the Monte Carlo estimator "
+        "(CLI subcommand 'mc')."
+    )
+
+
+def choose_route(
+    shape: SystemShape, *, config: EngineConfig | None = None
+) -> RouteCost:
+    """The exact route :func:`failure_polynomial` takes for ``shape``.
+
+    Among the routes that can run, the one with the lower predicted time.
+    Raises :class:`~relpoly.model.ResourceLimitError` with both routes'
+    predicted time and bytes when neither can.
+    """
+    config = config or _DEFAULT_CONFIG
+    costs = [_inclusion_exclusion_cost(shape, config), _transfer_matrix_cost(shape)]
+    runnable = [c for c in costs if c.refusal is None]
+    if not runnable:
+        raise ResourceLimitError(
+            f"no exact route fits {shape}: {costs[0].describe()}; "
+            f"{_fallback(costs[1])}"
+        )
+    return min(runnable, key=lambda c: c.seconds)
+
+
+# -- inclusion-exclusion: the subset sweep ------------------------------------
 
 
 def _checked_table(shape: SystemShape, config: EngineConfig) -> CellMaskTable | None:
-    """Cell-mask table behind the subset bound; None for non-failable shapes."""
-    m = shape.num_windows
-    if m == 0:
+    """Cell-mask table behind the route's caps; None for non-failable shapes."""
+    if shape.num_windows == 0:
         return None
-    if m > config.subset_bound:
+    cost = _inclusion_exclusion_cost(shape, config)
+    if cost.refusal:
         raise ResourceLimitError(
-            f"instance has {m} window placements; the exact sweep is "
-            f"2^{m} subsets, beyond the configured bound of "
-            f"{config.subset_bound}. Raise EngineConfig.subset_bound, or "
-            "fall back to the Monte Carlo estimator (CLI subcommand 'mc')."
+            f"instance has {shape.num_windows} window placements; {_fallback(cost)}"
         )
     return build_cell_mask_table(shape)
 
@@ -311,17 +481,10 @@ def _zeta_containment_table(table: CellMaskTable) -> np.ndarray:
     """f[S] = number of covered cells whose mask is contained in S.
 
     Subset-sum (zeta) transform over the distinct-mask multiset, in place.
-    The dtype is chosen so the cell counts fit; values never exceed
-    ``covered_cells``.
+    Values never exceed ``covered_cells``.
     """
     m = table.num_windows
-    if table.covered_cells <= np.iinfo(np.uint8).max:
-        dtype = np.uint8
-    elif table.covered_cells <= np.iinfo(np.uint16).max:
-        dtype = np.uint16
-    else:
-        dtype = np.uint32
-    f = np.zeros(1 << m, dtype=dtype)
+    f = np.zeros(1 << m, dtype=_zeta_dtype(table.covered_cells))
     for mask, mult in table.groups:
         f[mask] = mult
     for i in range(m):
@@ -355,16 +518,17 @@ def _spans(total_start: int, total_stop: int, chunk: int) -> list[tuple[int, int
     ]
 
 
-def failure_polynomial(
+def inclusion_exclusion_polynomial(
     shape: SystemShape, *, config: EngineConfig | None = None
 ) -> IntPolynomial:
-    """Exact failure probability P as a polynomial in q.
+    """Exact failure polynomial by the inclusion-exclusion sweep.
 
     Sweeps all ``2^|E| - 1`` nonempty window subsets, adding
     ``(-1)^(|J|+1)`` to the coefficient of ``q^k(J)``.  Returns the zero
     polynomial for non-failable shapes.  Raises
-    :class:`~relpoly.model.ResourceLimitError` when ``|E|`` exceeds the
-    configured subset bound.
+    :class:`~relpoly.model.ResourceLimitError` before allocating when
+    ``|E|`` exceeds the configured subset bound or the zeta table and chunk
+    temporaries would not fit in half the physical memory.
     """
     config = config or _DEFAULT_CONFIG
     workers = config.resolved_workers()
@@ -372,8 +536,6 @@ def failure_polynomial(
     if table is None:
         return IntPolynomial.zero()
     m = table.num_windows
-    # tallies are subset counts < 2^m, far below int64 range
-    assert m < 62
     f = _zeta_containment_table(table)
     covered = table.covered_cells
     parts = ordered_map(
@@ -387,6 +549,117 @@ def failure_polynomial(
     )
 
 
+# -- transfer matrix: the layer scan ------------------------------------------
+
+
+def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
+    """Surviving configurations by weight, after each layer along ``axis``.
+
+    Cells are scanned one at a time, layer by layer along ``axis`` and
+    row-major within the cross-section.  A state is an integer code with
+    one base ``s_a + 1`` digit per cross-section cell: the run of failed
+    cells along ``axis`` ending at the current layer, capped at ``s_a``.
+    Each state carries its count of configurations per weight.  A failed
+    cell completes a window exactly when it is the maximal corner of an
+    ``s``-box of the cross-section whose digits are all at the cap; the
+    other cells of that box come earlier in the layer, so the code already
+    holds their updated digits, and such configurations are dropped.
+
+    Layer ``t`` yields ``counts[w]``, the survivors of weight ``w`` among
+    the first ``t`` layers, for w = 0 .. t * cells.  Counts are int64 while
+    ``2^N`` fits, Python ints otherwise.
+    """
+    cross = [r for r in range(shape.d) if r != axis]
+    cross_n = [shape.n[r] for r in cross]
+    cross_s = [shape.s[r] for r in cross]
+    cap = shape.s[axis]
+    base = cap + 1
+    cells = math.prod(cross_n)
+    dtype = np.int64 if shape.volume < 63 else object
+    powers = [base**i for i in range(cells)]
+    strides = [math.prod(cross_n[i + 1 :]) for i in range(len(cross))]
+    # for each cross-section cell that is the maximal corner of a box, the
+    # digit places of the box's other cells
+    box_places: list[list[int] | None] = []
+    for coords in itertools.product(*map(range, cross_n)):
+        if all(c >= sr - 1 for c, sr in zip(coords, cross_s)):
+            box_places.append([
+                powers[sum((c - o) * st for c, o, st in zip(coords, offs, strides))]
+                for offs in itertools.product(*map(range, cross_s))
+                if any(offs)
+            ])
+        else:
+            box_places.append(None)
+
+    codes = np.zeros(1, dtype=np.int64)
+    counts = np.ones((1, 1), dtype=dtype)
+    for _ in range(shape.n[axis]):
+        for place, others in zip(powers, box_places):
+            digit = codes // place % base
+            worked = codes - digit * place
+            failed = codes + (digit < cap) * place
+            if others is None:
+                keep = slice(None)
+            else:
+                completes = digit >= cap - 1
+                for other in others:
+                    completes &= codes // other % base == cap
+                keep = ~completes
+            # the worked branch keeps each weight, the failed one adds one
+            live, width = counts.shape
+            branch_codes = np.concatenate([worked, failed[keep]])
+            branch_counts = np.zeros((len(branch_codes), width + 1), dtype=dtype)
+            branch_counts[:live, :width] = counts
+            branch_counts[live:, 1:] = counts[keep]
+            order = np.argsort(branch_codes, kind="stable")
+            sorted_codes = branch_codes[order]
+            starts = np.flatnonzero(
+                np.concatenate([[True], sorted_codes[1:] != sorted_codes[:-1]])
+            )
+            codes = sorted_codes[starts]
+            counts = np.add.reduceat(branch_counts[order], starts, axis=0)
+        yield counts.sum(axis=0)
+
+
+def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
+    """Failed configurations by weight, by the transfer-matrix scan.
+
+    Scans along the axis with the fewest states in the bound
+    ``(s_a + 1)^(N / n_a)``.  Raises
+    :class:`~relpoly.model.ResourceLimitError` before allocating when the
+    predicted state-by-weight counts would not fit in half the physical
+    memory.
+    """
+    volume = shape.volume
+    if not shape.failable:
+        return WeightTally(shape, (0,) * (volume + 1))
+    cost = _transfer_matrix_cost(shape)
+    if cost.refusal:
+        raise ResourceLimitError(f"instance {shape}: {_fallback(cost)}")
+    *_, survivors = _survivor_layers(shape, cost.axis)
+    return WeightTally(
+        shape,
+        tuple(math.comb(volume, w) - int(g) for w, g in enumerate(survivors)),
+    )
+
+
+# -- the public entry points --------------------------------------------------
+
+
+def failure_polynomial(
+    shape: SystemShape, *, config: EngineConfig | None = None
+) -> IntPolynomial:
+    """Exact failure probability P as a polynomial in q.
+
+    Takes the route :func:`choose_route` picks; both give the same
+    polynomial.  Returns the zero polynomial for non-failable shapes.
+    Raises :class:`~relpoly.model.ResourceLimitError` when no route fits.
+    """
+    if choose_route(shape, config=config).route == TRANSFER_MATRIX:
+        return tally_to_polynomial(transfer_matrix_tally(shape))
+    return inclusion_exclusion_polynomial(shape, config=config)
+
+
 def reliability_polynomial(
     shape: SystemShape, *, config: EngineConfig | None = None
 ) -> IntPolynomial:
@@ -394,19 +667,30 @@ def reliability_polynomial(
     return 1 - failure_polynomial(shape, config=config)
 
 
-def failed_count(shape: SystemShape, *, config: EngineConfig | None = None) -> int:
-    """Number of failed configurations among all 2^N binary arrays.
+def failed_count_from_polynomial(shape: SystemShape, poly: IntPolynomial) -> int:
+    """Failed configurations among all 2^N, from the failure polynomial.
 
     At q = 1/2 every configuration is equally likely, so the count is
     ``2^N * P(1/2)``, evaluated exactly in rational arithmetic.
     """
-    p = failure_polynomial(shape, config=config)
-    value = p.eval_rational(Fraction(1, 2)) * (1 << shape.volume)
+    value = poly.eval_rational(Fraction(1, 2)) * (1 << shape.volume)
     if value.denominator != 1:
         raise AssertionError(
             f"2^N * P(1/2) = {value} is not an integer; engine bug"
         )
     return int(value)
+
+
+def failed_count(shape: SystemShape, *, config: EngineConfig | None = None) -> int:
+    """Number of failed configurations among all 2^N binary arrays.
+
+    The transfer matrix yields it as the sum of its tally; on the
+    inclusion-exclusion route it is ``2^N * P(1/2)``.
+    """
+    if choose_route(shape, config=config).route == TRANSFER_MATRIX:
+        return transfer_matrix_tally(shape).total
+    poly = inclusion_exclusion_polynomial(shape, config=config)
+    return failed_count_from_polynomial(shape, poly)
 
 
 def count_sequence(
@@ -420,7 +704,10 @@ def count_sequence(
     """Failed-configuration counts as one array extent grows.
 
     Axis ``axis`` (0-based) of ``n`` runs from its given value up to
-    ``stop`` inclusive; all other extents stay fixed.
+    ``stop`` inclusive; all other extents stay fixed.  When the transfer
+    matrix is the route for the final extent and scans along ``axis``, one
+    scan yields every count, one per completed layer; otherwise each
+    extent is counted on its own.
     """
     n = list(n)
     if not 0 <= axis < len(n):
@@ -428,6 +715,16 @@ def count_sequence(
     start = n[axis]
     if stop < start:
         raise ValueError(f"stop {stop} is below the starting extent {start}")
+    n[axis] = stop
+    final = validate_shape(n, s)
+    route = choose_route(final, config=config)
+    if route.route == TRANSFER_MATRIX and route.axis == axis:
+        cells = final.volume // stop
+        layers = list(_survivor_layers(final, axis))
+        return [
+            (1 << (t * cells)) - sum(int(g) for g in layers[t - 1])
+            for t in range(start, stop + 1)
+        ]
     out = []
     for v in range(start, stop + 1):
         n[axis] = v

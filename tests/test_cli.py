@@ -61,7 +61,7 @@ class TestPoly:
         assert code == 2 and "error" in err
 
     def test_resource_cap_exit_3_mentions_mc(self, capsys):
-        code, _, err = run(capsys, "poly", "--n", "40", "--s", "1")
+        code, _, err = run(capsys, "poly", "--n", "12,12", "--s", "3,3")
         assert code == 3 and "mc" in err
 
     def test_memory_error_exit_3_mentions_mc(self, capsys, monkeypatch):
@@ -193,6 +193,20 @@ class TestOracle:
         assert "f=[0, 0, 2, 1]" in out
         assert "P = 2q^2 - q^3" in out
         assert "MATCH" in out
+
+    def test_check_computes_once(self, capsys, monkeypatch):
+        import relpoly.engine as engine
+
+        calls = []
+        for name in ("inclusion_exclusion_polynomial", "transfer_matrix_tally"):
+            def counted(*args, _original=getattr(engine, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        code, out, _ = run(capsys, "oracle", "--n", "4,4", "--s", "2,2", "--check")
+        assert code == 0 and "MATCH" in out
+        assert len(calls) == 1
 
     def test_plain_report(self, capsys):
         code, out, _ = run(capsys, "oracle", "--n", "2,2", "--s", "2,2")

@@ -1,6 +1,9 @@
-"""Inclusion-exclusion engine: enumeration, exponents, sweep, counts."""
+"""Exact engine: enumeration, exponents, both routes, routing, counts."""
 
 import itertools
+import math
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +21,21 @@ from relpoly import (
     failure_polynomial,
     intersection_volume,
     iter_subset_terms,
+    one_dim_recursion,
     pair_overlap_extent,
     reliability_polynomial,
+    tally_to_polynomial,
     union_exponent_by_cells,
     union_exponent_by_ie,
     validate_shape,
+)
+from relpoly.engine import (
+    INCLUSION_EXCLUSION,
+    TRANSFER_MATRIX,
+    choose_route,
+    failed_count_from_polynomial,
+    inclusion_exclusion_polynomial,
+    transfer_matrix_tally,
 )
 
 # Printed in the source material for this system family and re-derived here
@@ -230,15 +243,18 @@ class TestFailurePolynomial:
         assert reliability_polynomial(validate_shape([2], [3])) == IntPolynomial.one()
 
     def test_subset_bound_error_names_fallback(self):
+        # 100 windows and up to 4^12 transfer-matrix states: no route fits
         with pytest.raises(ResourceLimitError, match="mc"):
-            failure_polynomial(validate_shape([40], [1]))
+            failure_polynomial(validate_shape([12, 12], [3, 3]))
 
     def test_subset_bound_override(self):
         shape = validate_shape([6], [2])  # 5 windows
         with pytest.raises(ResourceLimitError):
-            failure_polynomial(shape, config=EngineConfig(subset_bound=4))
-        poly = failure_polynomial(shape, config=EngineConfig(subset_bound=5))
-        assert poly == failure_polynomial(shape)
+            inclusion_exclusion_polynomial(shape, config=EngineConfig(subset_bound=4))
+        poly = inclusion_exclusion_polynomial(
+            shape, config=EngineConfig(subset_bound=5)
+        )
+        assert poly == inclusion_exclusion_polynomial(shape)
 
     def test_paths_agree(self):
         # the zeta sweep against the per-subset cell route
@@ -248,7 +264,7 @@ class TestFailurePolynomial:
             summed = IntPolynomial(
                 (t.exponent, t.sign) for t in iter_subset_terms(shape)
             )
-            assert failure_polynomial(shape) == summed, (n, s)
+            assert inclusion_exclusion_polynomial(shape) == summed, (n, s)
 
     def test_dimension_permutation_symmetry(self):
         for n, s in [([2, 3], [1, 2]), ([2, 3, 4], [1, 2, 3]), ([4, 2], [2, 2])]:
@@ -271,7 +287,7 @@ class TestWorkers:
         shape = validate_shape([17], [2])  # 16 windows
         assert shape.num_windows == 16
         polys = [
-            failure_polynomial(shape, config=EngineConfig(workers=w))
+            inclusion_exclusion_polynomial(shape, config=EngineConfig(workers=w))
             for w in (1, 2, 8)
         ]
         assert polys[0] == polys[1] == polys[2]
@@ -313,3 +329,124 @@ class TestCounts:
             count_sequence([2], [2], 1, 5)
         with pytest.raises(ValueError):
             count_sequence([4], [2], 0, 3)
+
+    @pytest.mark.parametrize(
+        "n,s,axis,stop",
+        [([2], [2], 0, 40), ([3], [1], 0, 30), ([2, 2], [2, 2], 1, 24),
+         ([3, 1], [2, 2], 1, 14), ([2, 3, 1], [2, 2, 2], 2, 13)],
+    )
+    def test_one_scan_sequence(self, n, s, axis, stop):
+        # the transfer matrix scans the final shape along the varied axis,
+        # so every count is read off one scan
+        final = list(n)
+        final[axis] = stop
+        route = choose_route(validate_shape(final, s))
+        assert (route.route, route.axis) == (TRANSFER_MATRIX, axis)
+        expected = []
+        for v in range(n[axis], stop + 1):
+            final[axis] = v
+            shape = validate_shape(final, s)
+            if shape.num_windows <= 20:
+                poly = inclusion_exclusion_polynomial(shape)
+                expected.append(failed_count_from_polynomial(shape, poly))
+            else:
+                expected.append(transfer_matrix_tally(shape).total)
+        assert count_sequence(n, s, axis, stop) == expected
+
+    def test_per_extent_sequence(self):
+        # growing axis 0 of [2,25]x[2,2]: the route scans along axis 1, so
+        # each extent is counted on its own
+        route = choose_route(validate_shape([3, 25], [2, 2]))
+        assert (route.route, route.axis) == (TRANSFER_MATRIX, 1)
+        expected = [
+            count_sequence([m, 2], [2, 2], 1, 25)[-1] for m in (2, 3)
+        ]
+        assert count_sequence([2, 25], [2, 2], 0, 3) == expected
+
+
+class TestTransferMatrix:
+    # the tally against brute force over the whole catalog is
+    # test_acceptance.py::test_transfer_matrix_oracle_sweep, which reuses the
+    # oracle tallies the acceptance suite already holds
+
+    def test_one_dim_recursion(self):
+        # n up to 80 takes the Python-int counts past N = 62
+        points = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
+        for k in range(1, 6):
+            for n in range(1, 81):
+                tally = transfer_matrix_tally(validate_shape([n], [k]))
+                for q in points:
+                    p = sum(
+                        fk * q**w * (1 - q) ** (n - w) for w, fk in enumerate(tally.f)
+                    )
+                    assert 1 - p == one_dim_recursion(k, n, q), (k, n, q)
+
+    @pytest.mark.parametrize("n,s", [([4, 22], [4, 3]), ([6, 6], [2, 2])])
+    def test_matches_sweep(self, n, s):
+        shape = validate_shape(n, s)
+        tally = transfer_matrix_tally(shape)
+        poly = inclusion_exclusion_polynomial(shape)
+        assert tally_to_polynomial(tally) == poly
+        assert tally.total == failed_count_from_polynomial(shape, poly)
+
+    def test_nonfailable(self):
+        shape = validate_shape([3, 2], [2, 3])
+        assert transfer_matrix_tally(shape).f == (0,) * 7
+
+    def test_reaches_past_the_subset_bound(self):
+        shape = validate_shape([40], [1])  # 40 windows: series system
+        assert failed_count(shape) == 2**40 - 1
+        assert reliability_polynomial(shape) == IntPolynomial(
+            {j: (-1) ** j * math.comb(40, j) for j in range(41)}
+        )
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "n,s,route",
+        [([6, 6], [2, 2], TRANSFER_MATRIX), ([25], [2], TRANSFER_MATRIX),
+         ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], INCLUSION_EXCLUSION),
+         ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
+         ([4, 22], [4, 3], INCLUSION_EXCLUSION)],
+    )
+    def test_cheaper_route(self, n, s, route):
+        assert choose_route(validate_shape(n, s)).route == route
+
+    def test_subset_bound_caps_inclusion_exclusion_only(self):
+        shape = validate_shape([4, 5], [2, 2])  # 12 windows
+        config = EngineConfig(subset_bound=10)
+        assert choose_route(shape).route == INCLUSION_EXCLUSION
+        assert choose_route(shape, config=config).route == TRANSFER_MATRIX
+        assert failure_polynomial(shape, config=config) == failure_polynomial(shape)
+
+    def test_no_route_error_gives_both_costs(self):
+        with pytest.raises(ResourceLimitError) as exc:
+            choose_route(validate_shape([12, 12], [3, 3]))
+        message = str(exc.value)
+        assert INCLUSION_EXCLUSION in message and TRANSFER_MATRIX in message
+        assert "bytes" in message and "'mc'" in message
+
+
+class TestRefusesBeforeAllocating:
+    def _peak_bytes_while_refused(self, compute):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="mc"):
+                compute()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_inclusion_exclusion(self):
+        # the raised bound admits a 2^39-entry zeta table: 512 GiB
+        shape = validate_shape([40], [2])
+        config = EngineConfig(subset_bound=40)
+        peak = self._peak_bytes_while_refused(
+            lambda: inclusion_exclusion_polynomial(shape, config=config)
+        )
+        assert peak < 1 << 20
+
+    def test_transfer_matrix(self):
+        shape = validate_shape([12, 12], [3, 3])
+        peak = self._peak_bytes_while_refused(lambda: transfer_matrix_tally(shape))
+        assert peak < 1 << 20
