@@ -11,18 +11,13 @@ against a brute-force oracle, and estimates large instances by Monte Carlo.
 from .engine import (
     CellMaskTable,
     EngineConfig,
-    SubsetTerm,
     build_cell_mask_table,
     count_sequence,
     enumerate_elementary_failures,
     failed_count,
     failure_polynomial,
-    intersection_volume,
-    iter_subset_terms,
-    pair_overlap_extent,
     reliability_polynomial,
     union_exponent_by_cells,
-    union_exponent_by_ie,
 )
 from .model import (
     IntPolynomial,
@@ -35,12 +30,9 @@ from .model import (
 )
 from .montecarlo import McEstimate, estimate_failure_probability
 from .oracle import (
-    BinaryArray,
     WeightTally,
     brute_force_tally,
     detect_failures,
-    has_failure_window,
-    naive_window_scan,
     one_dim_recursion,
     tally_to_polynomial,
 )
@@ -48,14 +40,12 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryArray",
     "CellMaskTable",
     "EngineConfig",
     "IntPolynomial",
     "McEstimate",
     "ResourceLimitError",
     "ShapeError",
-    "SubsetTerm",
     "SystemShape",
     "WeightTally",
     "__version__",
@@ -67,17 +57,11 @@ __all__ = [
     "estimate_failure_probability",
     "failed_count",
     "failure_polynomial",
-    "has_failure_window",
-    "intersection_volume",
-    "iter_subset_terms",
-    "naive_window_scan",
     "one_dim_recursion",
-    "pair_overlap_extent",
     "polynomial_from_json",
     "polynomial_to_json",
     "reliability_polynomial",
     "tally_to_polynomial",
     "union_exponent_by_cells",
-    "union_exponent_by_ie",
     "validate_shape",
 ]

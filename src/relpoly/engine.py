@@ -31,9 +31,12 @@ configurations by weight in one scan along an axis ``a`` (finite Markov
 chain imbedding: Fu & Koutras 1994; Yamamoto & Miyakawa 1995 for the
 lattice form).  Its state holds, for each cell of the cross-section, the
 run of failed cells along ``a`` that ends at the current layer, capped at
-``s_a``; there are at most ``(s_a + 1)^(N / n_a)`` states, and the scan
-costs about N * states * N.  The failed tally is ``C(N, k)`` minus the
-survivors, and the polynomial follows from it as in the oracle.
+``s_a``.  It is stored densely, as one array with a digit axis per
+cross-section cell and a weight axis that grows by one per scanned cell,
+so each cell costs a few whole-array slice operations over all
+``(s_a + 1)^(N / n_a)`` states, and the scan about N * states * N.  The
+failed tally is ``C(N, k)`` minus the survivors, and the polynomial
+follows from it as in the oracle.
 
 :func:`failure_polynomial`, :func:`failed_count` and :func:`count_sequence`
 take whichever route :func:`choose_route` predicts to be faster among those
@@ -68,7 +71,6 @@ from .model import (
 from .oracle import WeightTally, tally_to_polynomial
 
 __all__ = [
-    "DEFAULT_INNER_IE_LIMIT",
     "DEFAULT_SUBSET_BOUND",
     "INCLUSION_EXCLUSION",
     "TRANSFER_MATRIX",
@@ -121,11 +123,10 @@ _ZETA_CHUNK = 1 << 22
 # tracemalloc, rounded up.
 _ZETA_CHUNK_BYTES_PER_SUBSET = 24
 
-# State-by-weight count matrices alive at the peak of one scan step, as
-# multiples of the current one: itself, the failed branch's rows, both
-# branches (up to twice as many rows), their sorted copy and the merged
-# result.
-_SCAN_LIVE_MATRICES = 8
+# State tensors alive at the peak of one scan step, as multiples of the
+# final one: the current state and its successor, one weight wider (2.0
+# measured with tracemalloc on the largest int64 scans), plus slack.
+_SCAN_LIVE_MATRICES = 3
 
 # The cost model of the two routes, in seconds.  Inclusion-exclusion costs
 # 2^|E| * |E| steps (transform plus sweep).  The transfer matrix costs, per
@@ -133,12 +134,13 @@ _SCAN_LIVE_MATRICES = 8
 # count: N * (cell + states * (N + 1) * entry), with the state bound as
 # the state count.  Fitted to timings of both routes at one worker on a
 # 2-core x86-64 host (Python 3.11, numpy 2.4): 0.85-1.9 ns per
-# inclusion-exclusion step for |E| >= 16; 31-43 us per cell, and 6 ns per
-# int64 or 20 ns per Python-int count.
+# inclusion-exclusion step for |E| >= 16; for the dense scan over 25
+# shapes, 16.5 us per cell, and 2.2 ns per int64 or 25 ns per Python-int
+# count, each shape within 0.74-1.37x of its measured time.
 _IE_SECONDS_PER_STEP = 1.3e-9
-_SCAN_SECONDS_PER_CELL = 3.5e-5
-_SCAN_SECONDS_PER_INT64_ENTRY = 6e-9
-_SCAN_SECONDS_PER_OBJECT_ENTRY = 2e-8
+_SCAN_SECONDS_PER_CELL = 1.65e-5
+_SCAN_SECONDS_PER_INT64_ENTRY = 2.2e-9
+_SCAN_SECONDS_PER_OBJECT_ENTRY = 2.5e-8
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -366,19 +368,25 @@ class RouteCost(NamedTuple):
         return f"{text} ({self.refusal})" if self.refusal else text
 
 
-def _over_budget(nbytes: float) -> str | None:
-    """Why ``nbytes`` may not be allocated, or None when it may.
+def memory_budget() -> float:
+    """Bytes one computation may plan to hold: half the physical memory.
 
-    One route may plan to hold half the physical memory, which leaves room
-    for the interpreter, other processes and a misestimate.
+    Half leaves room for the interpreter, other processes and a
+    misestimate.  Where ``os.sysconf`` does not report the memory, the
+    budget is ``sys.maxsize``, the most any array can address.
     """
     try:
-        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2
     except (AttributeError, ValueError, OSError):  # not reported here
-        return None
+        return float(sys.maxsize)
+
+
+def _over_budget(nbytes: float) -> str | None:
+    """Why ``nbytes`` may not be allocated, or None when it may."""
+    budget = memory_budget()
     if nbytes <= budget:
         return None
-    return f"beyond the memory budget of {budget:.3g} bytes, half the physical memory"
+    return f"beyond the memory budget of {budget:.3g} bytes"
 
 
 def _pow2(exponent: float) -> float:
@@ -429,10 +437,9 @@ def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
     entries = states * (volume + 1)
     nbytes = _SCAN_LIVE_MATRICES * entries * entry_bytes
     seconds = volume * (_SCAN_SECONDS_PER_CELL + entries * entry_seconds)
-    refusal = _over_budget(nbytes)
-    if states >= 2**63:
-        refusal = "its state codes overflow int64"
-    return RouteCost(TRANSFER_MATRIX, seconds, nbytes, refusal, axis)
+    # a budget within sys.maxsize bytes also keeps the state tensor within
+    # numpy's 64 axes, since each digit axis at least doubles the states
+    return RouteCost(TRANSFER_MATRIX, seconds, nbytes, _over_budget(nbytes), axis)
 
 
 def _fallback(cost: RouteCost) -> str:
@@ -556,69 +563,58 @@ def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
     """Surviving configurations by weight, after each layer along ``axis``.
 
     Cells are scanned one at a time, layer by layer along ``axis`` and
-    row-major within the cross-section.  A state is an integer code with
-    one base ``s_a + 1`` digit per cross-section cell: the run of failed
-    cells along ``axis`` ending at the current layer, capped at ``s_a``.
-    Each state carries its count of configurations per weight.  A failed
-    cell completes a window exactly when it is the maximal corner of an
-    ``s``-box of the cross-section whose digits are all at the cap; the
-    other cells of that box come earlier in the layer, so the code already
-    holds their updated digits, and such configurations are dropped.
+    row-major within the cross-section.  The state is one array with a
+    digit axis of length ``s_a + 1`` per cross-section cell, then a weight
+    axis: entry ``[d_1, ..., d_cells, w]`` counts the configurations of
+    weight ``w`` in which cell ``i``'s run of failed cells along ``axis``,
+    ending at the current layer, is ``d_i`` capped at ``s_a``.  The weight
+    axis grows by one per cell.  A worked cell sums its digit axis into
+    digit 0; a failed cell moves its digit up one, holding the cap, and its
+    weight up one.  A failed cell completes a window exactly when it is the
+    maximal corner of an ``s``-box of the cross-section whose digits are all
+    at the cap; the other cells of that box come earlier in the layer, so
+    their digits are already updated, and zeroing that one slice drops the
+    failing configurations.
 
     Layer ``t`` yields ``counts[w]``, the survivors of weight ``w`` among
     the first ``t`` layers, for w = 0 .. t * cells.  Counts are int64 while
     ``2^N`` fits, Python ints otherwise.
     """
-    cross = [r for r in range(shape.d) if r != axis]
-    cross_n = [shape.n[r] for r in cross]
-    cross_s = [shape.s[r] for r in cross]
+    cross_n = [shape.n[r] for r in range(shape.d) if r != axis]
+    cross_s = [shape.s[r] for r in range(shape.d) if r != axis]
     cap = shape.s[axis]
-    base = cap + 1
     cells = math.prod(cross_n)
     dtype = np.int64 if shape.volume < 63 else object
-    powers = [base**i for i in range(cells)]
-    strides = [math.prod(cross_n[i + 1 :]) for i in range(len(cross))]
+    grid = list(itertools.product(*map(range, cross_n)))
+    position = {coords: i for i, coords in enumerate(grid)}
     # for each cross-section cell that is the maximal corner of a box, the
-    # digit places of the box's other cells
-    box_places: list[list[int] | None] = []
-    for coords in itertools.product(*map(range, cross_n)):
+    # slice of the state where every cell of the box is at the cap
+    boxes: list[tuple | None] = []
+    for coords in grid:
         if all(c >= sr - 1 for c, sr in zip(coords, cross_s)):
-            box_places.append([
-                powers[sum((c - o) * st for c, o, st in zip(coords, offs, strides))]
-                for offs in itertools.product(*map(range, cross_s))
-                if any(offs)
-            ])
+            box: list = [slice(None)] * (cells + 1)
+            for offs in itertools.product(*map(range, cross_s)):
+                box[position[tuple(c - o for c, o in zip(coords, offs))]] = cap
+            boxes.append(tuple(box))
         else:
-            box_places.append(None)
+            boxes.append(None)
 
-    codes = np.zeros(1, dtype=np.int64)
-    counts = np.ones((1, 1), dtype=dtype)
+    state = np.zeros((cap + 1,) * cells + (1,), dtype=dtype)
+    state[(0,) * (cells + 1)] = 1
     for _ in range(shape.n[axis]):
-        for place, others in zip(powers, box_places):
-            digit = codes // place % base
-            worked = codes - digit * place
-            failed = codes + (digit < cap) * place
-            if others is None:
-                keep = slice(None)
-            else:
-                completes = digit >= cap - 1
-                for other in others:
-                    completes &= codes // other % base == cap
-                keep = ~completes
-            # the worked branch keeps each weight, the failed one adds one
-            live, width = counts.shape
-            branch_codes = np.concatenate([worked, failed[keep]])
-            branch_counts = np.zeros((len(branch_codes), width + 1), dtype=dtype)
-            branch_counts[:live, :width] = counts
-            branch_counts[live:, 1:] = counts[keep]
-            order = np.argsort(branch_codes, kind="stable")
-            sorted_codes = branch_codes[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sorted_codes[1:] != sorted_codes[:-1]])
-            )
-            codes = sorted_codes[starts]
-            counts = np.add.reduceat(branch_counts[order], starts, axis=0)
-        yield counts.sum(axis=0)
+        for i, box in enumerate(boxes):
+            lead = (slice(None),) * i
+            width = state.shape[-1]
+            grown = np.zeros(state.shape[:-1] + (width + 1,), dtype=dtype)
+            np.sum(state, axis=i, out=grown[lead + (0, ..., slice(None, width))])
+            grown[lead + (slice(1, None), ..., slice(1, None))] = state[
+                lead + (slice(None, cap),)
+            ]
+            grown[lead + (cap, ..., slice(1, None))] += state[lead + (cap,)]
+            if box is not None:
+                grown[box] = 0
+            state = grown
+        yield state.sum(axis=tuple(range(cells)))
 
 
 def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
@@ -627,8 +623,7 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
     Scans along the axis with the fewest states in the bound
     ``(s_a + 1)^(N / n_a)``.  Raises
     :class:`~relpoly.model.ResourceLimitError` before allocating when the
-    predicted state-by-weight counts would not fit in half the physical
-    memory.
+    predicted state tensors would not fit in half the physical memory.
     """
     volume = shape.volume
     if not shape.failable:

@@ -8,6 +8,9 @@ failure frequency is reported with a 95% confidence interval.
 Sampling is organized in fixed-size batches; batch i derives its stream
 from (seed, i), and batch results merge by failure-count addition, so an
 estimate depends only on (seed, samples, batch size), never on scheduling.
+Each batch is drawn and classified in row chunks small enough that every
+batch in flight fits the engine's memory budget; the chunks do not change
+the draws.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ordered_map, resolve_workers
+from .engine import memory_budget, ordered_map, resolve_workers
 from .model import SystemShape
 from .oracle import detect_failures
 
@@ -59,12 +62,33 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _row_bytes(shape: SystemShape) -> int:
+    """Peak bytes per sampled row while a chunk is drawn and classified.
+
+    Per cell the float64 draw, its bool mask and the detector's int32
+    prefix table; per cell of the padded table, its int32 copy; per window,
+    the int32 sums, their signed temporary and the bool hits.  Measured with
+    tracemalloc and rounded up.
+    """
+    padded = math.prod(nr + 1 for nr in shape.n)
+    return 16 * shape.volume + 4 * padded + 10 * shape.num_windows
+
+
 def _count_batch(
-    shape: SystemShape, q: float, seed: int, batch_index: int, size: int
+    shape: SystemShape, q: float, seed: int, batch_index: int, size: int, rows: int
 ) -> int:
+    """Failures among the ``size`` samples of one batch, ``rows`` at a time.
+
+    The generator fills its output in sequence, so the chunks' draws
+    concatenate to the batch's single draw and the count does not depend
+    on ``rows``.
+    """
     gen = _batch_generator(seed, batch_index)
-    draws = gen.random((size, shape.volume))
-    return int(detect_failures(shape, draws < q).sum())
+    failures = 0
+    for start in range(0, size, rows):
+        draws = gen.random((min(rows, size - start), shape.volume))
+        failures += int(detect_failures(shape, draws < q).sum())
+    return failures
 
 
 def _wilson_interval(failures: int, samples: int) -> tuple[float, float]:
@@ -113,8 +137,11 @@ def estimate_failure_probability(
         min(batch_size, samples - start)
         for start in range(0, samples, batch_size)
     ]
+    # every batch in flight draws in chunks that fit its share of the budget
+    in_flight = min(workers, len(sizes))
+    rows = max(1, int(memory_budget() // (in_flight * _row_bytes(shape))))
     counts = ordered_map(
-        lambda i, size: _count_batch(shape, q, seed, i, size),
+        lambda i, size: _count_batch(shape, q, seed, i, size, rows),
         list(enumerate(sizes)),
         workers,
     )

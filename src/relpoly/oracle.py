@@ -3,9 +3,10 @@
 Everything here is deliberately direct: enumerate all 2^N configurations,
 detect an all-ones window with a summed-volume (prefix-sum) table, tally
 failures by weight, and rebuild the failure polynomial from the tally.  No
-counting shortcuts, so the results are trustworthy checks for the
-inclusion-exclusion engine.  A classic 1-D reliability recursion is included
-as a third, independently derived route for d=1.
+counting shortcuts, so the results are trustworthy checks for both of the
+engine's exact routes, inclusion-exclusion and the transfer matrix.  A
+classic 1-D reliability recursion is included as a further, independently
+derived route for d=1.
 
 The oracle never imports the engine; window placements are re-derived
 locally from the shape.
@@ -14,7 +15,6 @@ locally from the shape.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -195,17 +195,18 @@ def brute_force_tally(
 
 
 def tally_to_polynomial(tally: WeightTally) -> IntPolynomial:
-    """Rebuild P(q) = sum_k f_k q^k (1-q)^(N-k), expanded exactly."""
-    volume = tally.shape.volume
-    coeffs: dict[int, int] = {}
+    """Rebuild P(q) = sum_k f_k q^k (1-q)^(N-k), expanded exactly.
+
+    Horner in ``1 - q``: after step k the accumulator holds
+    ``sum_{j<=k} f_j q^j (1-q)^(k-j)``, so each step multiplies it by
+    ``1 - q`` (one vectorised subtraction of the shifted coefficients) and
+    adds ``f_k q^k``.  Coefficients are Python ints in an object array.
+    """
+    coeffs = np.zeros(len(tally.f), dtype=object)
     for k, fk in enumerate(tally.f):
-        if not fk:
-            continue
-        for j in range(volume - k + 1):
-            c = fk * math.comb(volume - k, j)
-            e = k + j
-            coeffs[e] = coeffs.get(e, 0) + (-c if j % 2 else c)
-    return IntPolynomial(coeffs)
+        coeffs[1 : k + 1] -= coeffs[:k]
+        coeffs[k] += fk
+    return IntPolynomial(enumerate(coeffs.tolist()))
 
 
 def one_dim_recursion(k: int, n: int, q: Fraction | int) -> Fraction:
@@ -217,9 +218,8 @@ def one_dim_recursion(k: int, n: int, q: Fraction | int) -> Fraction:
 
         R_m = R_{m-1} - (1 - q) * q^k * R_{m-k-1}   for m > k.
 
-    Evaluated exactly in rational arithmetic.  An independent derivation
-    lineage from the inclusion-exclusion engine, used to triangulate d=1
-    results.
+    Evaluated exactly in rational arithmetic.  A derivation lineage
+    independent of both engine routes, used to triangulate d=1 results.
     """
     if k < 1:
         raise ValueError(f"run length k must be positive, got {k}")

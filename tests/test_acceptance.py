@@ -24,18 +24,18 @@ from relpoly import (
     estimate_failure_probability,
     failed_count,
     failure_polynomial,
-    iter_subset_terms,
     one_dim_recursion,
     reliability_polynomial,
     union_exponent_by_cells,
-    union_exponent_by_ie,
     validate_shape,
 )
 from relpoly.cli import main
 from relpoly.engine import (
     failed_count_from_polynomial,
     inclusion_exclusion_polynomial,
+    iter_subset_terms,
     transfer_matrix_tally,
+    union_exponent_by_ie,
 )
 
 SPOT_SHAPES = [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -14,28 +15,30 @@ from relpoly import (
     EngineConfig,
     IntPolynomial,
     ResourceLimitError,
+    brute_force_tally,
     build_cell_mask_table,
     count_sequence,
     enumerate_elementary_failures,
     failed_count,
     failure_polynomial,
-    intersection_volume,
-    iter_subset_terms,
     one_dim_recursion,
-    pair_overlap_extent,
     reliability_polynomial,
     tally_to_polynomial,
     union_exponent_by_cells,
-    union_exponent_by_ie,
     validate_shape,
 )
 from relpoly.engine import (
     INCLUSION_EXCLUSION,
     TRANSFER_MATRIX,
+    _survivor_layers,
     choose_route,
     failed_count_from_polynomial,
     inclusion_exclusion_polynomial,
+    intersection_volume,
+    iter_subset_terms,
+    pair_overlap_extent,
     transfer_matrix_tally,
+    union_exponent_by_ie,
 )
 
 # Printed in the source material for this system family and re-derived here
@@ -389,6 +392,36 @@ class TestTransferMatrix:
         assert tally_to_polynomial(tally) == poly
         assert tally.total == failed_count_from_polynomial(shape, poly)
 
+    @pytest.mark.parametrize(
+        "n,s",
+        [([3, 5], [2, 3]), ([4, 4], [3, 2]), ([2, 7], [2, 2]),
+         ([2, 2, 4], [2, 2, 2]), ([2, 3, 2], [1, 2, 2]), ([3, 2, 2], [2, 1, 2]),
+         ([2, 2, 3], [2, 2, 2])],
+    )
+    def test_every_scan_axis_matches_brute_force(self, n, s):
+        # the route scans one axis; the box slice is indexed per axis, so
+        # scan along each of them
+        shape = validate_shape(n, s)
+        expected = brute_force_tally(shape).f
+        for axis in range(shape.d):
+            assert self._scan_tally(shape, axis) == expected, axis
+
+    @pytest.mark.parametrize("n", [[4, 4], [3, 5]])
+    def test_every_scan_axis_series_closed_form(self, n):
+        # one failed cell fails a series system: f_k = C(N, k) for k >= 1
+        shape = validate_shape(n, [1, 1])
+        volume = shape.volume
+        expected = tuple(math.comb(volume, k) if k else 0 for k in range(volume + 1))
+        for axis in range(shape.d):
+            assert self._scan_tally(shape, axis) == expected
+
+    @staticmethod
+    def _scan_tally(shape, axis):
+        *_, survivors = _survivor_layers(shape, axis)
+        return tuple(
+            math.comb(shape.volume, w) - int(g) for w, g in enumerate(survivors)
+        )
+
     def test_nonfailable(self):
         shape = validate_shape([3, 2], [2, 3])
         assert transfer_matrix_tally(shape).f == (0,) * 7
@@ -407,7 +440,8 @@ class TestRouting:
         [([6, 6], [2, 2], TRANSFER_MATRIX), ([25], [2], TRANSFER_MATRIX),
          ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], INCLUSION_EXCLUSION),
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
-         ([4, 22], [4, 3], INCLUSION_EXCLUSION)],
+         ([4, 22], [4, 3], INCLUSION_EXCLUSION),
+         ([5, 5], [2, 2], TRANSFER_MATRIX), ([15], [2], TRANSFER_MATRIX)],
     )
     def test_cheaper_route(self, n, s, route):
         assert choose_route(validate_shape(n, s)).route == route
@@ -448,5 +482,16 @@ class TestRefusesBeforeAllocating:
 
     def test_transfer_matrix(self):
         shape = validate_shape([12, 12], [3, 3])
+        peak = self._peak_bytes_while_refused(lambda: transfer_matrix_tally(shape))
+        assert peak < 1 << 20
+
+    def test_transfer_matrix_without_a_memory_report(self, monkeypatch):
+        # with no physical memory to budget against, the state tensor must
+        # still fit the address space: 3^70 states do not
+        def unreported(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "sysconf", unreported)
+        shape = validate_shape([70, 70], [2, 2])
         peak = self._peak_bytes_while_refused(lambda: transfer_matrix_tally(shape))
         assert peak < 1 << 20

@@ -2,6 +2,7 @@
 
 import pytest
 
+import relpoly.montecarlo
 from relpoly import (
     estimate_failure_probability,
     failure_polynomial,
@@ -63,6 +64,42 @@ class TestReproducibility:
         a = estimate_failure_probability(SHAPE, 0.3, 40_000, 9, workers=1, **kwargs)
         b = estimate_failure_probability(SHAPE, 0.3, 40_000, 9, workers=4, **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n,s,q,samples,seed,batch,failures",
+        [([4, 4], [2, 2], 0.3, 50_000, 123, 1 << 14, 3191),
+         ([4, 4], [2, 2], 0.3, 3000, 5, 1024, 182),
+         ([8, 8], [3, 3], 0.45, 5000, 7, 2048, 132),
+         ([30], [4], 0.6, 4000, 11, 1500, 3434),
+         ([3, 4, 5], [2, 2, 2], 0.5, 2500, 3, 700, 223)],
+    )
+    def test_golden_failures(self, n, s, q, samples, seed, batch, failures):
+        # (seed, batch size) fixes every draw: these counts must not move
+        est = estimate_failure_probability(
+            validate_shape(n, s), q, samples, seed, batch_size=batch
+        )
+        assert est.failures == failures
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_chunks_keep_the_draws(self, monkeypatch, rows):
+        # a budget of `rows` rows per batch in flight: the batch is drawn in
+        # chunks of that many rows and must give the same failures
+        shape = validate_shape([3, 4, 5], [2, 2, 2])
+        budget = 2 * rows * relpoly.montecarlo._row_bytes(shape)
+        monkeypatch.setattr(relpoly.montecarlo, "memory_budget", lambda: budget)
+        detect = relpoly.montecarlo.detect_failures
+        chunks = []
+
+        def counted(shape, patterns):
+            chunks.append(len(patterns))
+            return detect(shape, patterns)
+
+        monkeypatch.setattr(relpoly.montecarlo, "detect_failures", counted)
+        est = estimate_failure_probability(
+            shape, 0.5, 2500, 3, batch_size=700, workers=2
+        )
+        assert max(chunks) == rows and sum(chunks) == 2500
+        assert est.failures == 223
 
     def test_generator_recorded(self):
         est = estimate_failure_probability(SHAPE, 0.2, 10, 5)

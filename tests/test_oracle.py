@@ -11,20 +11,18 @@ from hypothesis import strategies as st
 
 from helpers import catalog
 from relpoly import (
-    BinaryArray,
     IntPolynomial,
     ResourceLimitError,
     WeightTally,
     brute_force_tally,
     detect_failures,
     failure_polynomial,
-    has_failure_window,
-    naive_window_scan,
     one_dim_recursion,
     reliability_polynomial,
     tally_to_polynomial,
     validate_shape,
 )
+from relpoly.oracle import BinaryArray, has_failure_window, naive_window_scan
 
 
 class TestBinaryArray:
