@@ -129,14 +129,18 @@ _ZETA_CHUNK_BYTES_PER_SUBSET = 24
 _SCAN_LIVE_MATRICES = 3
 
 # The cost model of the two routes, in seconds.  Inclusion-exclusion costs
+# a fixed per-call overhead (cell-mask table, per-window zeta passes) plus
 # 2^|E| * |E| steps (transform plus sweep).  The transfer matrix costs, per
 # scanned cell, a fixed numpy overhead plus one step per state-by-weight
 # count: N * (cell + states * (N + 1) * entry), with the state bound as
 # the state count.  Fitted to timings of both routes at one worker on a
 # 2-core x86-64 host (Python 3.11, numpy 2.4): 0.85-1.9 ns per
-# inclusion-exclusion step for |E| >= 16; for the dense scan over 25
-# shapes, 16.5 us per cell, and 2.2 ns per int64 or 25 ns per Python-int
-# count, each shape within 0.74-1.37x of its measured time.
+# inclusion-exclusion step for |E| >= 16, and 0.15 ms per call, the median
+# excess over the step term of 70 timings at |E| = 3-13 (quartiles 0.11
+# and 0.20 ms); for the dense scan over 25 shapes, 16.5 us per cell, and
+# 2.2 ns per int64 or 25 ns per Python-int count, each shape within
+# 0.74-1.37x of its measured time.
+_IE_SECONDS_PER_CALL = 1.5e-4
 _IE_SECONDS_PER_STEP = 1.3e-9
 _SCAN_SECONDS_PER_CELL = 1.65e-5
 _SCAN_SECONDS_PER_INT64_ENTRY = 2.2e-9
@@ -416,9 +420,8 @@ def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> Route
             f"its sweep is 2^{m} subsets, beyond EngineConfig.subset_bound "
             f"= {config.subset_bound}, which may be raised"
         )
-    return RouteCost(
-        INCLUSION_EXCLUSION, _IE_SECONDS_PER_STEP * subsets * m, nbytes, refusal
-    )
+    seconds = _IE_SECONDS_PER_CALL + _IE_SECONDS_PER_STEP * subsets * m
+    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, refusal)
 
 
 def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:

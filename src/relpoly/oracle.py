@@ -1,10 +1,12 @@
 """Independent ground truth by exhaustive enumeration.
 
 Everything here is deliberately direct: enumerate all 2^N configurations,
-detect an all-ones window with a summed-volume (prefix-sum) table, tally
-failures by weight, and rebuild the failure polynomial from the tally.  No
-counting shortcuts, so the results are trustworthy checks for both of the
-engine's exact routes, inclusion-exclusion and the transfer matrix.  A
+detect an all-ones window by separable box erosion (shifted ANDs along each
+axis), tally failures by weight, and rebuild the failure polynomial from
+the tally.  No counting shortcuts, so the results are trustworthy checks
+for both of the engine's exact routes, inclusion-exclusion and the
+transfer matrix.  Monte Carlo classifies its draws with the same
+detector; :func:`naive_window_scan` is its cell-by-cell reference.  A
 classic 1-D reliability recursion is included as a further, independently
 derived route for d=1.
 
@@ -89,44 +91,44 @@ def detect_failures(shape: SystemShape, patterns: np.ndarray) -> np.ndarray:
     """Classify a batch of configurations: does any window come up all ones?
 
     ``patterns`` is a (B, N) 0/1 array, rows in the flat bit order of
-    :class:`BinaryArray`.  Builds one d-dimensional prefix-sum table per
-    row, then reads every window sum with the 2^d-corner alternating-sign
-    lookup and compares against the full window volume.
+    :class:`BinaryArray`; any dtype, but a non-bool array holding a value
+    other than 0 or 1 raises ValueError.  Returns a length-B bool array.
+
+    Separable box erosion (van Herk 1992; Gil & Werman 1993): viewed as
+    ``(B, *n)`` bool, each axis r is folded with
+    ``a = a[:len - step] & a[step:]`` while the run length it certifies
+    grows 1, 2, 4, ... up to exactly ``s_r`` (the last step is shortened),
+    so ``ceil(log2 s_r)`` ANDs per axis.  A surviving position is the
+    corner of an all-ones window.  No integer table is built: the peak is
+    two bool arrays of at most the batch's size besides the input.
     """
     patterns = np.asarray(patterns)
     if patterns.ndim != 2 or patterns.shape[1] != shape.volume:
         raise ValueError(f"expected a (batch, {shape.volume}) array")
+    if patterns.dtype != bool:
+        cells = patterns.astype(bool)
+        if np.any(cells != patterns):
+            raise ValueError("pattern cells must be 0 or 1")
+        patterns = cells
     batch = patterns.shape[0]
     if not shape.failable or batch == 0:
         return np.zeros(batch, dtype=bool)
-    d, n, s = shape.d, shape.n, shape.s
 
-    table = patterns.reshape(batch, *n).astype(np.int32)
-    for axis in range(d):
-        np.cumsum(table, axis=1 + axis, out=table)
-    padded = np.zeros((batch, *(x + 1 for x in n)), dtype=np.int32)
-    padded[(slice(None),) + tuple(slice(1, None) for _ in n)] = table
-
-    window_sums = np.zeros(
-        (batch, *(nr - sr + 1 for nr, sr in zip(n, s))), dtype=np.int32
-    )
-    for corners in itertools.product((0, 1), repeat=d):
-        sign = -1 if (d - sum(corners)) % 2 else 1
-        index = tuple(
-            slice(sr, nr + 1) if hi else slice(0, nr - sr + 1)
-            for hi, nr, sr in zip(corners, n, s)
-        )
-        window_sums += sign * padded[(slice(None),) + index]
-    hits = window_sums == shape.window_volume
-    return hits.any(axis=tuple(range(1, d + 1)))
+    a = patterns.reshape(batch, *shape.n)
+    for axis, sr in enumerate(shape.s, start=1):
+        lead = (slice(None),) * axis
+        run = 1
+        while run < sr:
+            step = min(run, sr - run)
+            a = a[lead + (slice(None, -step),)] & a[lead + (slice(step, None),)]
+            run += step
+    return a.reshape(batch, -1).any(axis=1)
 
 
 def has_failure_window(arr: BinaryArray) -> bool:
     """True iff the configuration contains a contiguous all-ones window."""
     n = arr.shape.volume
-    row = np.fromiter(
-        (arr.bits >> i & 1 for i in range(n)), dtype=np.uint8, count=n
-    )
+    row = np.fromiter((arr.bits >> i & 1 for i in range(n)), dtype=bool, count=n)
     return bool(detect_failures(arr.shape, row.reshape(1, n))[0])
 
 
@@ -171,8 +173,10 @@ def brute_force_tally(
 ) -> WeightTally:
     """Sweep all 2^N configurations and tally failures by weight.
 
-    Patterns are processed in index-range chunks; each chunk is classified
-    with the same summed-volume detector as :func:`has_failure_window`.
+    Patterns are processed in index-range chunks: the indices' little-endian
+    bytes are unpacked into bool rows in the flat bit order of
+    :class:`BinaryArray`, and each chunk is classified with
+    :func:`detect_failures`.
     """
     volume = shape.volume
     if volume > cap:
@@ -182,14 +186,18 @@ def brute_force_tally(
         )
     f = np.zeros(volume + 1, dtype=np.int64)
     if shape.failable:
-        bit_positions = np.arange(volume, dtype=np.int64)
         for start in range(0, 1 << volume, _TALLY_CHUNK):
             idx = np.arange(
-                start, min(start + _TALLY_CHUNK, 1 << volume), dtype=np.int64
+                start, min(start + _TALLY_CHUNK, 1 << volume), dtype="<u8"
             )
-            patterns = (idx[:, None] >> bit_positions[None, :]) & 1
+            patterns = np.unpackbits(
+                idx.view(np.uint8).reshape(-1, 8),
+                axis=1,
+                count=volume,
+                bitorder="little",
+            ).view(bool)
             failed = detect_failures(shape, patterns)
-            weights = np.bitwise_count(idx[failed].astype(np.uint64))
+            weights = np.bitwise_count(idx[failed])
             f += np.bincount(weights, minlength=volume + 1)
     return WeightTally(shape, tuple(int(x) for x in f))
 

@@ -438,7 +438,7 @@ class TestRouting:
     @pytest.mark.parametrize(
         "n,s,route",
         [([6, 6], [2, 2], TRANSFER_MATRIX), ([25], [2], TRANSFER_MATRIX),
-         ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], INCLUSION_EXCLUSION),
+         ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], TRANSFER_MATRIX),
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
          ([4, 22], [4, 3], INCLUSION_EXCLUSION),
          ([5, 5], [2, 2], TRANSFER_MATRIX), ([15], [2], TRANSFER_MATRIX)],

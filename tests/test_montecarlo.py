@@ -1,5 +1,7 @@
 """Monte Carlo estimator: determinism, degenerate inputs, interval sanity."""
 
+import tracemalloc
+
 import pytest
 
 import relpoly.montecarlo
@@ -100,6 +102,21 @@ class TestReproducibility:
         )
         assert max(chunks) == rows and sum(chunks) == 2500
         assert est.failures == 223
+
+    @pytest.mark.parametrize(
+        "n,s", [([300], [4]), ([48, 48], [3, 3]), ([12, 12, 12], [2, 2, 2])]
+    )
+    def test_row_bytes_bound_the_chunk_peak(self, n, s):
+        shape = validate_shape(n, s)
+        rows = 512
+        bound = rows * relpoly.montecarlo._row_bytes(shape)
+        tracemalloc.start()
+        try:
+            relpoly.montecarlo._count_batch(shape, 0.4, 1, 0, rows, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound / 2 <= peak <= bound
 
     def test_generator_recorded(self):
         est = estimate_failure_probability(SHAPE, 0.2, 10, 5)

@@ -107,6 +107,49 @@ class TestDetection:
         after = has_failure_window(BinaryArray(shape, bits | (1 << flip)))
         assert after or not before
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_erosion_agrees_with_naive_scan(self, data):
+        # extents up to 5, each s_r from 1 through n_r + 1 (not failable)
+        n = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        s = [data.draw(st.integers(1, x + 1)) for x in n]
+        shape = validate_shape(n, s)
+        rows = data.draw(
+            st.lists(st.integers(0, (1 << shape.volume) - 1), min_size=1, max_size=16)
+        )
+        patterns = np.array(
+            [[bits >> i & 1 for i in range(shape.volume)] for bits in rows],
+            dtype=bool,
+        )
+        expected = [naive_window_scan(BinaryArray(shape, bits)) for bits in rows]
+        assert detect_failures(shape, patterns).tolist() == expected
+
+    def test_rejects_cells_other_than_zero_or_one(self):
+        shape = validate_shape([2, 2], [2, 1])
+        # a 2 and a 0 in one window sum to the window volume
+        patterns = np.array([[2, 0, 0, 0]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            detect_failures(shape, patterns)
+        with pytest.raises(ValueError, match="0 or 1"):
+            detect_failures(shape, np.array([[1, 0.5, 0, 0]]))
+
+    def test_dtypes_agree(self):
+        shape = validate_shape([3, 4], [2, 2])
+        rng = np.random.default_rng(7)
+        cells = rng.random((200, shape.volume)) < 0.6
+        expected = detect_failures(shape, cells)
+        assert 0 < expected.sum() < len(expected)
+        for dtype in (np.uint8, np.int64):
+            got = detect_failures(shape, cells.astype(dtype))
+            assert got.dtype == bool
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_empty_batch(self, dtype):
+        shape = validate_shape([3, 4], [2, 2])
+        got = detect_failures(shape, np.zeros((0, shape.volume), dtype=dtype))
+        assert got.shape == (0,) and got.dtype == bool
+
 
 class TestBruteForceTally:
     def test_two_node_run(self):
