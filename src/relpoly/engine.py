@@ -78,7 +78,6 @@ __all__ = [
     "CellMaskTable",
     "EngineConfig",
     "RouteCost",
-    "SubsetTerm",
     "build_cell_mask_table",
     "choose_route",
     "count_sequence",
@@ -87,13 +86,9 @@ __all__ = [
     "failed_count_from_polynomial",
     "failure_polynomial",
     "inclusion_exclusion_polynomial",
-    "intersection_volume",
-    "iter_subset_terms",
-    "pair_overlap_extent",
     "reliability_polynomial",
     "transfer_matrix_tally",
     "union_exponent_by_cells",
-    "union_exponent_by_ie",
 ]
 
 #: Offsets of one elementary failure: 1-based minimal corner, one per axis.
@@ -132,19 +127,23 @@ _SCAN_LIVE_MATRICES = 3
 # a fixed per-call overhead (cell-mask table, per-window zeta passes) plus
 # 2^|E| * |E| steps (transform plus sweep).  The transfer matrix costs, per
 # scanned cell, a fixed numpy overhead plus one step per state-by-weight
-# count: N * (cell + states * (N + 1) * entry), with the state bound as
-# the state count.  Fitted to timings of both routes at one worker on a
-# 2-core x86-64 host (Python 3.11, numpy 2.4): 0.85-1.9 ns per
-# inclusion-exclusion step for |E| >= 16, and 0.15 ms per call, the median
-# excess over the step term of 70 timings at |E| = 3-13 (quartiles 0.11
-# and 0.20 ms); for the dense scan over 25 shapes, 16.5 us per cell, and
-# 2.2 ns per int64 or 25 ns per Python-int count, each shape within
-# 0.74-1.37x of its measured time.
+# count, and N^2 steps to rebuild the polynomial (math.comb per weight,
+# Horner in 1 - q): N * (cell + states * (N + 1) * entry + N * rebuild),
+# with the state bound as the state count.  Fitted to timings of both
+# routes at one worker on a 2-core x86-64 host (Python 3.11, numpy 2.4):
+# 0.85-1.9 ns per inclusion-exclusion step for |E| >= 16, and 0.15 ms per
+# call, the median excess over the step term of 70 timings at |E| = 3-13
+# (quartiles 0.11 and 0.20 ms); for the dense scan over 25 shapes, 16.5 us
+# per cell, and 2.2 ns per int64 or 25 ns per Python-int count, each shape
+# within 0.74-1.37x of its scan time; 0.22 us per rebuild step, the
+# least-squares fit in relative error of the whole polynomial's medians
+# over 40 1-D and 2-D shapes with N = 3-200 (0.39-1.42x of each).
 _IE_SECONDS_PER_CALL = 1.5e-4
 _IE_SECONDS_PER_STEP = 1.3e-9
 _SCAN_SECONDS_PER_CELL = 1.65e-5
 _SCAN_SECONDS_PER_INT64_ENTRY = 2.2e-9
 _SCAN_SECONDS_PER_OBJECT_ENTRY = 2.5e-8
+_SCAN_SECONDS_PER_REBUILD_STEP = 2.2e-7
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -439,7 +438,8 @@ def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
         entry_seconds = _SCAN_SECONDS_PER_OBJECT_ENTRY
     entries = states * (volume + 1)
     nbytes = _SCAN_LIVE_MATRICES * entries * entry_bytes
-    seconds = volume * (_SCAN_SECONDS_PER_CELL + entries * entry_seconds)
+    rebuild = volume * _SCAN_SECONDS_PER_REBUILD_STEP
+    seconds = volume * (_SCAN_SECONDS_PER_CELL + entries * entry_seconds + rebuild)
     # a budget within sys.maxsize bytes also keeps the state tensor within
     # numpy's 64 axes, since each digit axis at least doubles the states
     return RouteCost(TRANSFER_MATRIX, seconds, nbytes, _over_budget(nbytes), axis)

@@ -5,7 +5,8 @@ cells; the system fails when some contiguous ``s_1 x ... x s_d`` window is
 all ones.  Both the failure probability P and the reliability R = 1 - P are
 polynomials in the per-cell failure probability q, with integer coefficients.
 This module holds the shape type, the sparse integer polynomial type, and
-exact/float evaluation.
+its evaluation: one integer Horner at q = a/d gives both the exact
+rational value and, at a binary64 q, the correctly rounded float.
 
 Exact rational values are plain :class:`fractions.Fraction` objects; they
 are always reduced and carry arbitrary-precision numerators/denominators.
@@ -245,42 +246,38 @@ class IntPolynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_rational(self, q: Fraction | int) -> Fraction:
-        """Exact value at a rational point, by Horner over the sparse support."""
-        q = Fraction(q)
-        acc = Fraction(0)
-        prev: int | None = None
+    def _scaled_value(self, a: int, d: int) -> tuple[int, int]:
+        """Integers ``(num, d^D)`` whose quotient is the value at q = a/d.
+
+        ``num = sum of c_e * a^e * d^(D-e)``, with D the degree, by Horner
+        over the sparse terms from the top exponent down; each exponent gap
+        is one power of ``a`` and one of ``d``.
+        """
+        num, den, prev = 0, 1, max(self._coeffs, default=0)
         for exp, c in sorted(self._coeffs.items(), reverse=True):
-            if prev is None:
-                acc = Fraction(c)
-            else:
-                acc = acc * q ** (prev - exp) + c
+            gap = prev - exp
+            den *= d**gap  # d^(D - exp)
+            num = num * a**gap + c * den
             prev = exp
-        if prev is None:
-            return Fraction(0)
-        return acc * q**prev
+        return num * a**prev, den * d**prev
+
+    def eval_rational(self, q: Fraction | int) -> Fraction:
+        """Exact value at a rational point."""
+        q = Fraction(q)
+        return Fraction(*self._scaled_value(q.numerator, q.denominator))
 
     def eval_float(self, q: float) -> float:
-        """Approximate value at q in [0, 1], by Horner in binary64.
+        """Value at the binary64 q in [0, 1]: the exact value, correctly rounded.
 
-        Coefficients alternate in sign and grow combinatorially, so
-        cancellation can cost precision; use :meth:`eval_rational` when
-        exactness matters.
+        A binary64 q is exactly a/2^m, and Python rounds an int / int
+        quotient correctly, so P and R always lie in [0, 1]; nothing cancels
+        or overflows.
         """
         q = float(q)
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {q}")
-        acc = 0.0
-        prev: int | None = None
-        for exp, c in sorted(self._coeffs.items(), reverse=True):
-            if prev is None:
-                acc = float(c)
-            else:
-                acc = acc * q ** (prev - exp) + c
-            prev = exp
-        if prev is None:
-            return 0.0
-        return acc * q**prev
+        num, den = self._scaled_value(*q.as_integer_ratio())
+        return num / den
 
 
 # -- canonical serialization ------------------------------------------------

@@ -27,12 +27,9 @@ from .model import IntPolynomial, ResourceLimitError, SystemShape
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
-    "BinaryArray",
     "WeightTally",
     "brute_force_tally",
     "detect_failures",
-    "has_failure_window",
-    "naive_window_scan",
     "one_dim_recursion",
     "tally_to_polynomial",
 ]

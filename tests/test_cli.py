@@ -104,6 +104,20 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--n", "2", "--s", "1", "--q", bad_q)
         assert code == 2 and "error" in err
 
+    def test_float_in_the_upper_tail(self, capsys):
+        # the power-basis coefficients cancel to -4.15e-14 in binary64
+        code, out, err = run(capsys, "eval", "--n", "25", "--s", "2", "--q", "0.99")
+        assert code == 0 and "Traceback" not in err
+        assert out.strip() == "1.8138133807445167e-24"
+
+    @pytest.mark.parametrize("target,value", [("r", "0.0"), ("p", "1.0")])
+    def test_float_past_binary64_coefficients(self, capsys, target, value):
+        # R = 2^-1100 rounds to 0; its coefficients overflow binary64
+        code, out, err = run(capsys, "eval", "--n", "1100", "--s", "1", "--q",
+                             "0.5", "--target", target)
+        assert code == 0 and "Traceback" not in err
+        assert out.strip() == value
+
 
 class TestCount:
     def test_single(self, capsys):
@@ -183,6 +197,14 @@ class TestCurve:
         code, _, _ = run(capsys, "curve", "--n", "2", "--s", "1",
                          "--q-min", qmin, "--q-max", qmax, "--steps", steps)
         assert code == 2
+
+    def test_long_shape_stays_in_unit_interval(self, capsys):
+        code, out, err = run(capsys, "curve", "--n", "300", "--s", "5",
+                             "--steps", "4")
+        assert code == 0 and "Traceback" not in err
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 5 and rows[-1] == "1.0,0.0"
+        assert all(0.0 <= float(row.split(",")[1]) <= 1.0 for row in rows)
 
 
 class TestOracle:

@@ -441,7 +441,8 @@ class TestRouting:
          ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], TRANSFER_MATRIX),
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
          ([4, 22], [4, 3], INCLUSION_EXCLUSION),
-         ([5, 5], [2, 2], TRANSFER_MATRIX), ([15], [2], TRANSFER_MATRIX)],
+         ([5, 5], [2, 2], TRANSFER_MATRIX), ([15], [2], TRANSFER_MATRIX),
+         ([9], [2], INCLUSION_EXCLUSION), ([3, 8], [2, 2], INCLUSION_EXCLUSION)],
     )
     def test_cheaper_route(self, n, s, route):
         assert choose_route(validate_shape(n, s)).route == route

@@ -151,6 +151,34 @@ class TestEvaluation:
                 ), (shape, q)
 
 
+# both tails, where the power-basis coefficients cancel hardest
+TAIL_GRID = [0.0, 1e-9, 1e-3, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999,
+             1 - 1e-9, 1.0]
+
+
+class TestCorrectlyRounded:
+    """eval_float is the exact value at the binary64 q, correctly rounded."""
+
+    def test_catalog_in_both_tails(self):
+        from helpers import catalog
+
+        for shape in catalog(max_volume=12):
+            p = failure_polynomial(shape)
+            for poly in (p, 1 - p):
+                for q in TAIL_GRID:
+                    value = poly.eval_float(q)
+                    assert value == float(poly.eval_rational(Fraction(q))), (
+                        shape, q)
+                    assert 0.0 <= value <= 1.0, (shape, q)
+
+    def test_wide_exponent_gap(self):
+        gap = 1 << 20
+        r = IntPolynomial({0: 1, gap: -1})  # 1 - q^gap
+        assert r.eval_rational(Fraction(1, 2)) == 1 - Fraction(1, 1 << gap)
+        assert r.eval_float(0.5) == 1.0
+        assert (1 - r).eval_float(0.5) == 0.0  # 2^-gap underflows to 0
+
+
 class TestSerialization:
     def test_canonical_form(self):
         shape = validate_shape([2, 3], [1, 2])
