@@ -17,7 +17,6 @@ from .engine import (
     failed_count,
     failure_polynomial,
     reliability_polynomial,
-    union_exponent_by_cells,
 )
 from .model import (
     IntPolynomial,
@@ -62,6 +61,5 @@ __all__ = [
     "polynomial_to_json",
     "reliability_polynomial",
     "tally_to_polynomial",
-    "union_exponent_by_cells",
     "validate_shape",
 ]

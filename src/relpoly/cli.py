@@ -146,9 +146,9 @@ def cmd_eval(args) -> int:
 def cmd_count(args) -> int:
     started = time.perf_counter()
     shape = _shape_from_args(args)
+    if (args.vary is None) != (args.to is None):
+        raise ValueError("--vary and --to must be given together")
     if args.vary is not None:
-        if args.to is None:
-            raise ValueError("--vary requires --to")
         if not 1 <= args.vary <= shape.d:
             raise ValueError(f"--vary axis must be in 1..{shape.d}")
         counts = count_sequence(shape.n, shape.s, args.vary - 1, args.to)

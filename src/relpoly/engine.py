@@ -41,8 +41,10 @@ follows from it as in the oracle.
 :func:`failure_polynomial`, :func:`failed_count` and :func:`count_sequence`
 take whichever route :func:`choose_route` predicts to be faster among those
 whose predicted peak memory fits in half the machine's physical memory.
-Each route refuses with :class:`~relpoly.model.ResourceLimitError` before
-it allocates, and so does the choice when neither route fits.
+Memory is the only bound on either route: inclusion-exclusion has no cap
+on |E| of its own.  Each route refuses with
+:class:`~relpoly.model.ResourceLimitError` before it allocates, and so does
+the choice when neither route fits.
 
 The worker rule lives here as well: :func:`resolve_workers` reads
 ``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs on a thread pool in
@@ -71,7 +73,6 @@ from .model import (
 from .oracle import WeightTally, tally_to_polynomial
 
 __all__ = [
-    "DEFAULT_SUBSET_BOUND",
     "INCLUSION_EXCLUSION",
     "TRANSFER_MATRIX",
     "WORKERS_ENV_VAR",
@@ -88,15 +89,10 @@ __all__ = [
     "inclusion_exclusion_polynomial",
     "reliability_polynomial",
     "transfer_matrix_tally",
-    "union_exponent_by_cells",
 ]
 
 #: Offsets of one elementary failure: 1-based minimal corner, one per axis.
 Offsets = tuple[int, ...]
-
-#: The inclusion-exclusion route refuses instances with more than this many
-#: windows (the sweep is 2^|E|).  Overridable via EngineConfig.
-DEFAULT_SUBSET_BOUND = 26
 
 #: Route names, as reported by :func:`choose_route`.
 INCLUSION_EXCLUSION = "inclusion-exclusion"
@@ -181,16 +177,13 @@ def ordered_map(fn, jobs: Sequence[tuple], workers: int) -> list:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Resource caps for the exact routes.
+    """Worker count for the exact routes.
 
-    ``subset_bound`` is the largest window count |E| the inclusion-exclusion
-    sweep accepts; its zeta table has 2^|E| entries.  It does not cap the
-    transfer matrix.  ``workers=None`` reads the RELPOLY_WORKERS
-    environment variable and falls back to 1.  Neither field changes the
-    result, only whether, how and how fast it is computed.
+    ``workers=None`` reads the RELPOLY_WORKERS environment variable and
+    falls back to 1.  It changes only how fast the result is computed, and
+    the predicted memory of the inclusion-exclusion chunks in flight.
     """
 
-    subset_bound: int = DEFAULT_SUBSET_BOUND
     workers: int | None = None
 
     def resolved_workers(self) -> int:
@@ -356,19 +349,17 @@ class RouteCost(NamedTuple):
     """Predicted cost of one exact route on one shape.
 
     ``seconds`` and ``nbytes`` (peak memory) come from the calibrated cost
-    model.  ``refusal`` is None when the route can run, otherwise the
-    reason it cannot.  ``axis`` is the transfer matrix's scan axis.
+    model; the route can run when ``nbytes`` fits :func:`memory_budget`.
+    ``axis`` is the transfer matrix's scan axis.
     """
 
     route: str
     seconds: float
     nbytes: float
-    refusal: str | None
     axis: int | None = None
 
     def describe(self) -> str:
-        text = f"{self.route} predicts {self.seconds:.3g} s and {self.nbytes:.3g} bytes"
-        return f"{text} ({self.refusal})" if self.refusal else text
+        return f"{self.route} predicts {self.seconds:.3g} s and {self.nbytes:.3g} bytes"
 
 
 def memory_budget() -> float:
@@ -384,12 +375,21 @@ def memory_budget() -> float:
         return float(sys.maxsize)
 
 
-def _over_budget(nbytes: float) -> str | None:
-    """Why ``nbytes`` may not be allocated, or None when it may."""
+def _within_budget(subject: str, costs: Sequence[RouteCost]) -> list[RouteCost]:
+    """The routes whose predicted bytes fit :func:`memory_budget`.
+
+    Raises :class:`~relpoly.model.ResourceLimitError`, naming every route's
+    prediction, the budget and the Monte Carlo fallback, when none does.
+    """
     budget = memory_budget()
-    if nbytes <= budget:
-        return None
-    return f"beyond the memory budget of {budget:.3g} bytes"
+    fitting = [c for c in costs if c.nbytes <= budget]
+    if fitting:
+        return fitting
+    raise ResourceLimitError(
+        f"{subject}: {'; '.join(c.describe() for c in costs)}, beyond the "
+        f"memory budget of {budget:.3g} bytes. Fall back to the Monte Carlo "
+        "estimator (CLI subcommand 'mc')."
+    )
 
 
 def _pow2(exponent: float) -> float:
@@ -408,19 +408,16 @@ def _zeta_dtype(covered_cells: int) -> type:
 def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> RouteCost:
     m = shape.num_windows
     subsets = _pow2(m)
-    chunk = min(subsets, _ZETA_CHUNK) * config.resolved_workers()
+    # the sweep's chunks split the 2^m - 1 nonempty subsets; at most one per
+    # worker is in flight
+    chunks = max(1.0, subsets / _ZETA_CHUNK)
+    in_flight = min(config.resolved_workers(), chunks)
     nbytes = (
         subsets * np.dtype(_zeta_dtype(shape.volume)).itemsize
-        + chunk * _ZETA_CHUNK_BYTES_PER_SUBSET
+        + min(subsets, _ZETA_CHUNK) * in_flight * _ZETA_CHUNK_BYTES_PER_SUBSET
     )
-    refusal = _over_budget(nbytes)
-    if m > config.subset_bound:
-        refusal = (
-            f"its sweep is 2^{m} subsets, beyond EngineConfig.subset_bound "
-            f"= {config.subset_bound}, which may be raised"
-        )
     seconds = _IE_SECONDS_PER_CALL + _IE_SECONDS_PER_STEP * subsets * m
-    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, refusal)
+    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes)
 
 
 def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
@@ -442,14 +439,7 @@ def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
     seconds = volume * (_SCAN_SECONDS_PER_CELL + entries * entry_seconds + rebuild)
     # a budget within sys.maxsize bytes also keeps the state tensor within
     # numpy's 64 axes, since each digit axis at least doubles the states
-    return RouteCost(TRANSFER_MATRIX, seconds, nbytes, _over_budget(nbytes), axis)
-
-
-def _fallback(cost: RouteCost) -> str:
-    return (
-        f"{cost.describe()}. Fall back to the Monte Carlo estimator "
-        "(CLI subcommand 'mc')."
-    )
+    return RouteCost(TRANSFER_MATRIX, seconds, nbytes, axis)
 
 
 def choose_route(
@@ -463,27 +453,21 @@ def choose_route(
     """
     config = config or _DEFAULT_CONFIG
     costs = [_inclusion_exclusion_cost(shape, config), _transfer_matrix_cost(shape)]
-    runnable = [c for c in costs if c.refusal is None]
-    if not runnable:
-        raise ResourceLimitError(
-            f"no exact route fits {shape}: {costs[0].describe()}; "
-            f"{_fallback(costs[1])}"
-        )
-    return min(runnable, key=lambda c: c.seconds)
+    fitting = _within_budget(f"no exact route fits {shape}", costs)
+    return min(fitting, key=lambda c: c.seconds)
 
 
 # -- inclusion-exclusion: the subset sweep ------------------------------------
 
 
 def _checked_table(shape: SystemShape, config: EngineConfig) -> CellMaskTable | None:
-    """Cell-mask table behind the route's caps; None for non-failable shapes."""
+    """Cell-mask table behind the memory check; None for non-failable shapes."""
     if shape.num_windows == 0:
         return None
-    cost = _inclusion_exclusion_cost(shape, config)
-    if cost.refusal:
-        raise ResourceLimitError(
-            f"instance has {shape.num_windows} window placements; {_fallback(cost)}"
-        )
+    _within_budget(
+        f"instance has {shape.num_windows} window placements",
+        [_inclusion_exclusion_cost(shape, config)],
+    )
     return build_cell_mask_table(shape)
 
 
@@ -536,9 +520,9 @@ def inclusion_exclusion_polynomial(
     Sweeps all ``2^|E| - 1`` nonempty window subsets, adding
     ``(-1)^(|J|+1)`` to the coefficient of ``q^k(J)``.  Returns the zero
     polynomial for non-failable shapes.  Raises
-    :class:`~relpoly.model.ResourceLimitError` before allocating when
-    ``|E|`` exceeds the configured subset bound or the zeta table and chunk
-    temporaries would not fit in half the physical memory.
+    :class:`~relpoly.model.ResourceLimitError` before allocating when the
+    zeta table and chunk temporaries would not fit in half the physical
+    memory.
     """
     config = config or _DEFAULT_CONFIG
     workers = config.resolved_workers()
@@ -632,8 +616,7 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
     if not shape.failable:
         return WeightTally(shape, (0,) * (volume + 1))
     cost = _transfer_matrix_cost(shape)
-    if cost.refusal:
-        raise ResourceLimitError(f"instance {shape}: {_fallback(cost)}")
+    _within_budget(f"instance {shape}", [cost])
     *_, survivors = _survivor_layers(shape, cost.axis)
     return WeightTally(
         shape,

@@ -300,13 +300,26 @@ def polynomial_to_json(shape: SystemShape, poly: IntPolynomial) -> dict:
     }
 
 
+def _json_int(value: object, decimal_string: bool) -> int:
+    if type(value) is int or (  # not bool
+        decimal_string and isinstance(value, str) and value.isascii()
+        and value.removeprefix("-").isdigit()
+    ):
+        return int(value)
+    raise ValueError(f"expected an integer in the polynomial, got {value!r}")
+
+
 def polynomial_from_json(
     obj: Mapping, *, volume_cap: int = DEFAULT_VOLUME_CAP
 ) -> tuple[SystemShape, IntPolynomial]:
-    """Parse the canonical serialization back into (shape, polynomial)."""
+    """Parse the canonical serialization back into (shape, polynomial).
+
+    Exponents must be ints, coefficients ints or decimal strings; anything
+    else, floats and bools included, raises ValueError.
+    """
     try:
         shape = validate_shape(obj["n"], obj["s"], volume_cap=volume_cap)
-        pairs = [(int(e), int(c)) for e, c in obj["poly"]]
+        pairs = [(_json_int(e, False), _json_int(c, True)) for e, c in obj["poly"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc
     exps = [e for e, _ in pairs]

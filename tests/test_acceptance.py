@@ -26,7 +26,6 @@ from relpoly import (
     failure_polynomial,
     one_dim_recursion,
     reliability_polynomial,
-    union_exponent_by_cells,
     validate_shape,
 )
 from relpoly.cli import main
@@ -35,6 +34,7 @@ from relpoly.engine import (
     inclusion_exclusion_polynomial,
     iter_subset_terms,
     transfer_matrix_tally,
+    union_exponent_by_cells,
     union_exponent_by_ie,
 )
 
@@ -183,13 +183,10 @@ def test_criterion_5_normalization_and_shape_properties():
 
 def test_criterion_6_one_dim_triangulation():
     with criterion(6, "1-D triangulation against the recursion"):
-        config = EngineConfig(subset_bound=30)
         points = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
         for k in range(1, 6):
             for n in range(1, 31):
-                poly = 1 - inclusion_exclusion_polynomial(
-                    validate_shape([n], [k]), config=config
-                )
+                poly = 1 - inclusion_exclusion_polynomial(validate_shape([n], [k]))
                 for q in points:
                     assert poly.eval_rational(q) == one_dim_recursion(k, n, q), (
                         k, n, q,

@@ -141,6 +141,11 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--n", "2", "--s", "2", "--vary", "1")
         assert code == 2
 
+    def test_to_without_vary_exit_2(self, capsys):
+        code, out, err = run(capsys, "count", "--n", "3", "--s", "2", "--to", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--to" in err and "--vary" in err
+
     def test_bad_axis_exit_2(self, capsys):
         code, _, _ = run(capsys, "count", "--n", "2", "--s", "2",
                          "--vary", "2", "--to", "5")

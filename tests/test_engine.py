@@ -24,7 +24,6 @@ from relpoly import (
     one_dim_recursion,
     reliability_polynomial,
     tally_to_polynomial,
-    union_exponent_by_cells,
     validate_shape,
 )
 from relpoly.engine import (
@@ -38,6 +37,7 @@ from relpoly.engine import (
     iter_subset_terms,
     pair_overlap_extent,
     transfer_matrix_tally,
+    union_exponent_by_cells,
     union_exponent_by_ie,
 )
 
@@ -250,15 +250,6 @@ class TestFailurePolynomial:
         with pytest.raises(ResourceLimitError, match="mc"):
             failure_polynomial(validate_shape([12, 12], [3, 3]))
 
-    def test_subset_bound_override(self):
-        shape = validate_shape([6], [2])  # 5 windows
-        with pytest.raises(ResourceLimitError):
-            inclusion_exclusion_polynomial(shape, config=EngineConfig(subset_bound=4))
-        poly = inclusion_exclusion_polynomial(
-            shape, config=EngineConfig(subset_bound=5)
-        )
-        assert poly == inclusion_exclusion_polynomial(shape)
-
     def test_paths_agree(self):
         # the zeta sweep against the per-subset cell route
         for n, s in [([6], [2]), ([3, 4], [2, 2]), ([2, 2, 3], [1, 2, 2]),
@@ -442,17 +433,21 @@ class TestRouting:
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
          ([4, 22], [4, 3], INCLUSION_EXCLUSION),
          ([5, 5], [2, 2], TRANSFER_MATRIX), ([15], [2], TRANSFER_MATRIX),
-         ([9], [2], INCLUSION_EXCLUSION), ([3, 8], [2, 2], INCLUSION_EXCLUSION)],
+         ([9], [2], INCLUSION_EXCLUSION), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
+         # 27 windows: no cap on |E| beyond memory
+         ([4, 21], [2, 13], INCLUSION_EXCLUSION),
+         ([4, 4, 4], [2, 2, 2], INCLUSION_EXCLUSION)],
     )
     def test_cheaper_route(self, n, s, route):
         assert choose_route(validate_shape(n, s)).route == route
 
-    def test_subset_bound_caps_inclusion_exclusion_only(self):
-        shape = validate_shape([4, 5], [2, 2])  # 12 windows
-        config = EngineConfig(subset_bound=10)
-        assert choose_route(shape).route == INCLUSION_EXCLUSION
-        assert choose_route(shape, config=config).route == TRANSFER_MATRIX
-        assert failure_polynomial(shape, config=config) == failure_polynomial(shape)
+    def test_bytes_count_only_the_chunks_in_flight(self):
+        # 4096 subsets make one sweep chunk, run serially at any worker count
+        config = EngineConfig(workers=100_000)
+        shape = validate_shape([4, 5], [2, 2])
+        cost = choose_route(shape, config=config)
+        assert cost.route == INCLUSION_EXCLUSION
+        assert cost.nbytes == choose_route(shape).nbytes
 
     def test_no_route_error_gives_both_costs(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -473,11 +468,10 @@ class TestRefusesBeforeAllocating:
             tracemalloc.stop()
 
     def test_inclusion_exclusion(self):
-        # the raised bound admits a 2^39-entry zeta table: 512 GiB
+        # a 2^39-entry zeta table: 512 GiB
         shape = validate_shape([40], [2])
-        config = EngineConfig(subset_bound=40)
         peak = self._peak_bytes_while_refused(
-            lambda: inclusion_exclusion_polynomial(shape, config=config)
+            lambda: inclusion_exclusion_polynomial(shape)
         )
         assert peak < 1 << 20
 

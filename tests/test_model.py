@@ -220,6 +220,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             polynomial_from_json({"poly": []})
 
+    @pytest.mark.parametrize(
+        "poly",
+        [[[2.7, "2"], [3, -1.9]], [[2, "2"], [3, -1.9]], [[2, 2.0]], [[2.0, 1]],
+         [[True, 1]], [[2, True]], [[2, "2.5"]], [[2, "1e3"]], [["2", 1]],
+         [[2, " 1"]], [[2, "+1"]], [[2, None]]],
+    )
+    def test_rejects_non_integer_terms(self, poly):
+        with pytest.raises(ValueError):
+            polynomial_from_json({"n": [3], "s": [2], "poly": poly})
+
 
 class TestShapePolynomialInvariants:
     """P(0)=0, P(1)=1, R+P=1 on a few shapes; the full catalog sweep lives
