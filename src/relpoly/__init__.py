@@ -32,7 +32,6 @@ from .oracle import (
     WeightTally,
     brute_force_tally,
     detect_failures,
-    one_dim_recursion,
     tally_to_polynomial,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "estimate_failure_probability",
     "failed_count",
     "failure_polynomial",
-    "one_dim_recursion",
     "polynomial_from_json",
     "polynomial_to_json",
     "reliability_polynomial",

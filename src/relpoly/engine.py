@@ -234,26 +234,22 @@ def intersection_volume(shape: SystemShape, group: Iterable[Offsets]) -> int:
     return vol
 
 
-def union_exponent_by_ie(
-    shape: SystemShape,
-    group: Sequence[Offsets],
-    *,
-    limit: int = DEFAULT_INNER_IE_LIMIT,
-) -> int:
+def union_exponent_by_ie(shape: SystemShape, group: Sequence[Offsets]) -> int:
     """Cells covered by the union of the windows, by inner inclusion-exclusion.
 
     Sums ``(-1)^(|J'|+1) * intersection_volume(J')`` over all nonempty
     subsets J' of the group.  This is the reference route; cost is 2^|group|,
-    guarded by ``limit``.
+    guarded by :data:`DEFAULT_INNER_IE_LIMIT`.
     """
     group = list(group)
     m = len(group)
     if m == 0:
         raise ValueError("group of elementary failures must be nonempty")
-    if m > limit:
+    if m > DEFAULT_INNER_IE_LIMIT:
         raise ResourceLimitError(
             f"inner inclusion-exclusion over {m} windows exceeds the limit "
-            f"{limit} (cost 2^{m}); use union_exponent_by_cells instead"
+            f"{DEFAULT_INNER_IE_LIMIT} (cost 2^{m}); use union_exponent_by_cells "
+            "instead"
         )
     total = 0
     for bits in range(1, 1 << m):
@@ -325,16 +321,13 @@ class SubsetTerm(NamedTuple):
     exponent: int
 
 
-def iter_subset_terms(
-    shape: SystemShape, *, config: EngineConfig | None = None
-) -> Iterator[SubsetTerm]:
+def iter_subset_terms(shape: SystemShape) -> Iterator[SubsetTerm]:
     """Yield every summand of the failure polynomial, in subset-index order.
 
     Diagnostic/reference view of the sweep; the polynomial itself is
     assembled by :func:`failure_polynomial`, which fuses the accumulation.
     """
-    config = config or _DEFAULT_CONFIG
-    table = _checked_table(shape, config)
+    table = _checked_table(shape, _DEFAULT_CONFIG)
     if table is None:
         return
     for bits in range(1, 1 << table.num_windows):
@@ -563,9 +556,9 @@ def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
     their digits are already updated, and zeroing that one slice drops the
     failing configurations.
 
-    Layer ``t`` yields ``counts[w]``, the survivors of weight ``w`` among
-    the first ``t`` layers, for w = 0 .. t * cells.  Counts are int64 while
-    ``2^N`` fits, Python ints otherwise.
+    Layer ``t`` yields the state; :func:`_survivors` sums it into the
+    survivors by weight among the first ``t`` layers, w = 0 .. t * cells.
+    Counts are int64 while ``2^N`` fits, Python ints otherwise.
     """
     cross_n = [shape.n[r] for r in range(shape.d) if r != axis]
     cross_s = [shape.s[r] for r in range(shape.d) if r != axis]
@@ -601,7 +594,12 @@ def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
             if box is not None:
                 grown[box] = 0
             state = grown
-        yield state.sum(axis=tuple(range(cells)))
+        yield state
+
+
+def _survivors(state: np.ndarray) -> np.ndarray:
+    """Survivors by weight: a scan state summed over its digit axes."""
+    return state.sum(axis=tuple(range(state.ndim - 1)))
 
 
 def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
@@ -617,7 +615,9 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
         return WeightTally(shape, (0,) * (volume + 1))
     cost = _transfer_matrix_cost(shape)
     _within_budget(f"instance {shape}", [cost])
-    *_, survivors = _survivor_layers(shape, cost.axis)
+    for state in _survivor_layers(shape, cost.axis):
+        pass  # only the last layer is read
+    survivors = _survivors(state)
     return WeightTally(
         shape,
         tuple(math.comb(volume, w) - int(g) for w, g in enumerate(survivors)),
@@ -701,7 +701,7 @@ def count_sequence(
     route = choose_route(final, config=config)
     if route.route == TRANSFER_MATRIX and route.axis == axis:
         cells = final.volume // stop
-        layers = list(_survivor_layers(final, axis))
+        layers = [_survivors(state) for state in _survivor_layers(final, axis)]
         return [
             (1 << (t * cells)) - sum(int(g) for g in layers[t - 1])
             for t in range(start, stop + 1)

@@ -41,7 +41,7 @@ class ShapeError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """The instance exceeds a configured resource cap (not a usage error)."""
+    """The instance exceeds a resource cap (not a usage error)."""
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,13 @@ class SystemShape:
         return f"n={list(self.n)} s={list(self.s)}"
 
 
-def validate_shape(
-    n: Sequence[int],
-    s: Sequence[int],
-    *,
-    volume_cap: int = DEFAULT_VOLUME_CAP,
-) -> SystemShape:
+def validate_shape(n: Sequence[int], s: Sequence[int]) -> SystemShape:
     """Check and freeze a problem instance.
 
     Raises :class:`ShapeError` for an empty or mismatched extent vector or
     any extent < 1, and :class:`ResourceLimitError` when the cell count
-    exceeds ``volume_cap``.  Shapes with some ``s_r > n_r`` are accepted and
-    marked non-failable rather than rejected.
+    exceeds :data:`DEFAULT_VOLUME_CAP`.  Shapes with some ``s_r > n_r`` are
+    accepted and marked non-failable rather than rejected.
     """
     try:
         n = tuple(operator.index(x) for x in n)
@@ -121,10 +116,9 @@ def validate_shape(
     if any(x < 1 for x in s):
         raise ShapeError(f"window extents must be positive, got s={list(s)}")
     shape = SystemShape(n, s)
-    if shape.volume > volume_cap:
+    if shape.volume > DEFAULT_VOLUME_CAP:
         raise ResourceLimitError(
-            f"cell count {shape.volume} exceeds the volume cap {volume_cap}; "
-            "raise volume_cap if this size is intended"
+            f"cell count {shape.volume} exceeds the volume cap {DEFAULT_VOLUME_CAP}"
         )
     return shape
 
@@ -309,16 +303,14 @@ def _json_int(value: object, decimal_string: bool) -> int:
     raise ValueError(f"expected an integer in the polynomial, got {value!r}")
 
 
-def polynomial_from_json(
-    obj: Mapping, *, volume_cap: int = DEFAULT_VOLUME_CAP
-) -> tuple[SystemShape, IntPolynomial]:
+def polynomial_from_json(obj: Mapping) -> tuple[SystemShape, IntPolynomial]:
     """Parse the canonical serialization back into (shape, polynomial).
 
     Exponents must be ints, coefficients ints or decimal strings; anything
     else, floats and bools included, raises ValueError.
     """
     try:
-        shape = validate_shape(obj["n"], obj["s"], volume_cap=volume_cap)
+        shape = validate_shape(obj["n"], obj["s"])
         pairs = [(_json_int(e, False), _json_int(c, True)) for e, c in obj["poly"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial object: {exc}") from exc

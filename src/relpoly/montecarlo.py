@@ -10,9 +10,9 @@ interval.
 Sampling is organized in fixed-size batches; batch i derives its stream
 from (seed, i), and batch results merge by failure-count addition, so an
 estimate depends only on (seed, samples, batch size), never on scheduling.
-Each batch is drawn and classified in row chunks small enough that every
-batch in flight fits the engine's memory budget, at about 10 bytes per
-cell of a row; the chunks do not change the draws.
+Each batch is drawn and classified in row chunks of 2^18 cells, fewer rows
+where the batches in flight would not fit the engine's memory budget; the
+chunks do not change the draws.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ DEFAULT_BATCH_SIZE = 1 << 14
 RNG_NAME = "philox4x64"
 
 _Z_95 = 1.96
+
+# Cells per row chunk of a batch (at least one row), so that a batch's peak
+# stays a few MB whatever its size; like the engine's _ZETA_CHUNK.
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,10 @@ def estimate_failure_probability(
         min(batch_size, samples - start)
         for start in range(0, samples, batch_size)
     ]
-    # every batch in flight draws in chunks that fit its share of the budget
+    # _CHUNK_CELLS per chunk, or fewer rows to fit each batch's budget share
     in_flight = min(workers, len(sizes))
-    rows = max(1, int(memory_budget() // (in_flight * _row_bytes(shape))))
+    budget_rows = int(memory_budget() // (in_flight * _row_bytes(shape)))
+    rows = max(1, min(_CHUNK_CELLS // shape.volume, budget_rows))
     counts = ordered_map(
         lambda i, size: _count_batch(shape, q, seed, i, size, rows),
         list(enumerate(sizes)),

@@ -30,7 +30,6 @@ __all__ = [
     "WeightTally",
     "brute_force_tally",
     "detect_failures",
-    "one_dim_recursion",
     "tally_to_polynomial",
 ]
 
@@ -165,21 +164,19 @@ class WeightTally:
         return sum(self.f)
 
 
-def brute_force_tally(
-    shape: SystemShape, *, cap: int = DEFAULT_ORACLE_CAP
-) -> WeightTally:
+def brute_force_tally(shape: SystemShape) -> WeightTally:
     """Sweep all 2^N configurations and tally failures by weight.
 
     Patterns are processed in index-range chunks: the indices' little-endian
     bytes are unpacked into bool rows in the flat bit order of
     :class:`BinaryArray`, and each chunk is classified with
-    :func:`detect_failures`.
+    :func:`detect_failures`.  Refuses past :data:`DEFAULT_ORACLE_CAP` cells.
     """
     volume = shape.volume
-    if volume > cap:
+    if volume > DEFAULT_ORACLE_CAP:
         raise ResourceLimitError(
             f"brute force over 2^{volume} configurations exceeds the oracle "
-            f"cap of N <= {cap}"
+            f"cap of N <= {DEFAULT_ORACLE_CAP}"
         )
     f = np.zeros(volume + 1, dtype=np.int64)
     if shape.failable:

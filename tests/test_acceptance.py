@@ -24,7 +24,6 @@ from relpoly import (
     estimate_failure_probability,
     failed_count,
     failure_polynomial,
-    one_dim_recursion,
     reliability_polynomial,
     validate_shape,
 )
@@ -37,6 +36,7 @@ from relpoly.engine import (
     union_exponent_by_cells,
     union_exponent_by_ie,
 )
+from relpoly.oracle import one_dim_recursion
 
 SPOT_SHAPES = [
     ([17], [2]),

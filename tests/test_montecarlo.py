@@ -118,6 +118,29 @@ class TestReproducibility:
             tracemalloc.stop()
         assert bound / 2 <= peak <= bound
 
+    def test_chunks_hold_a_fixed_cell_count(self, monkeypatch):
+        # a 2048-row batch of 2304 cells is drawn 2^18 // 2304 = 113 rows at
+        # a time, however large the memory budget, and peaks at a few MB
+        shape = validate_shape([48, 48], [3, 3])
+        count_batch = relpoly.montecarlo._count_batch
+        chunk_rows = []
+
+        def recorded(shape, q, seed, batch_index, size, rows):
+            chunk_rows.append(rows)
+            return count_batch(shape, q, seed, batch_index, size, rows)
+
+        monkeypatch.setattr(relpoly.montecarlo, "_count_batch", recorded)
+        tracemalloc.start()
+        try:
+            estimate_failure_probability(
+                shape, 0.44, 2048, 1, batch_size=2048, workers=1
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk_rows == [113]
+        assert peak < 4 << 20
+
     def test_generator_recorded(self):
         est = estimate_failure_probability(SHAPE, 0.2, 10, 5)
         assert est.rng == "philox4x64"

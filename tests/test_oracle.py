@@ -17,12 +17,16 @@ from relpoly import (
     brute_force_tally,
     detect_failures,
     failure_polynomial,
-    one_dim_recursion,
     reliability_polynomial,
     tally_to_polynomial,
     validate_shape,
 )
-from relpoly.oracle import BinaryArray, has_failure_window, naive_window_scan
+from relpoly.oracle import (
+    BinaryArray,
+    has_failure_window,
+    naive_window_scan,
+    one_dim_recursion,
+)
 
 
 class TestBinaryArray:
@@ -174,8 +178,6 @@ class TestBruteForceTally:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             brute_force_tally(validate_shape([5, 5], [2, 2]))
-        tally = brute_force_tally(validate_shape([5, 5], [2, 2]), cap=25)
-        assert tally.total > 0
 
     def test_weight_bounds(self):
         shape = validate_shape([3, 2], [2, 1])
