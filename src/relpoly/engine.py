@@ -9,22 +9,13 @@ nonempty subsets J of E:
     P(q) = sum over J of (-1)^(|J|+1) * q^k(J)
 
 where ``k(J)`` counts the cells in the union of the windows of J.  The sum
-has ``2^|E| - 1`` terms, so the per-term exponent must be cheap.  Two
-per-subset exponent routines serve as references:
-
-* ``union_exponent_by_ie`` -- an inner inclusion-exclusion over subsets of
-  J whose terms are box-intersection volumes (per-axis extents
-  ``max(0, s_r - (max e_r - min e_r))``).
-* ``union_exponent_by_cells`` -- every lattice cell knows the bitmask of
-  windows covering it; ``k(J)`` is the number of cells whose mask
-  intersects J.  Equality of the two routines is a tested invariant.
-
+has ``2^|E| - 1`` terms, so the per-term exponent must be cheap.  Every
+lattice cell knows the bitmask of windows covering it (the cell-mask
+table), so ``k(J)`` is the number of cells whose mask intersects J.
 :func:`inclusion_exclusion_polynomial` computes every exponent at once: one
 subset-sum (zeta) transform over the cell masks, O(2^|E| * |E|), turns each
 ``k(J)`` into a table lookup, and the sweep tallies the lookups by exponent
-and sign in vectorized chunks.  :func:`iter_subset_terms` yields the same
-summands one at a time through ``union_exponent_by_cells``, as the
-reference the sweep is tested against.
+and sign in vectorized chunks.
 
 **Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
 configurations by weight in one scan along an axis ``a`` (finite Markov
@@ -47,8 +38,9 @@ on |E| of its own.  Each route refuses with
 the choice when neither route fits.
 
 The worker rule lives here as well: :func:`resolve_workers` reads
-``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs on a thread pool in
-job order.  The Monte Carlo estimator uses both.
+``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs in job order on a
+thread pool of at most one thread per core.  The Monte Carlo estimator
+uses both.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,9 +89,6 @@ Offsets = tuple[int, ...]
 #: Route names, as reported by :func:`choose_route`.
 INCLUSION_EXCLUSION = "inclusion-exclusion"
 TRANSFER_MATRIX = "transfer-matrix"
-
-#: union_exponent_by_ie refuses subsets larger than this (cost 2^|J|).
-DEFAULT_INNER_IE_LIMIT = 20
 
 #: Environment variable consulted when no worker count is passed.
 WORKERS_ENV_VAR = "RELPOLY_WORKERS"
@@ -166,10 +155,13 @@ def resolve_workers(workers: int | None) -> int:
 def ordered_map(fn, jobs: Sequence[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, on a thread pool when that can help.
 
-    Results come back in job order, so any downstream merge sees the same
-    sequence regardless of worker count or scheduling.
+    The pool has at most one thread per job and per core, whatever
+    ``workers`` asks for.  Results come back in job order, so any
+    downstream merge sees the same sequence regardless of worker count or
+    scheduling.
     """
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda job: fn(*job), jobs))
@@ -206,71 +198,17 @@ def enumerate_elementary_failures(shape: SystemShape) -> list[Offsets]:
     return list(itertools.product(*axes))
 
 
-def pair_overlap_extent(
-    shape: SystemShape, group: Iterable[Offsets], axis: int
-) -> int:
-    """Extent along ``axis`` (0-based) of the common intersection of windows.
-
-    For a nonempty group of offsets this is ``max(0, s_r - (max e_r - min e_r))``:
-    the windows all span ``s_r`` cells along the axis, so their intersection
-    shrinks by the spread of their corners.
-    """
-    offs = [e[axis] for e in group]
-    if not offs:
-        raise ValueError("group of elementary failures must be nonempty")
-    return max(0, shape.s[axis] - (max(offs) - min(offs)))
-
-
-def intersection_volume(shape: SystemShape, group: Iterable[Offsets]) -> int:
-    """Cells common to all windows in the group: the product of the per-axis
-    overlap extents (zero as soon as one axis is disjoint)."""
-    group = list(group)
-    vol = 1
-    for axis in range(shape.d):
-        t = pair_overlap_extent(shape, group, axis)
-        if t == 0:
-            return 0
-        vol *= t
-    return vol
-
-
-def union_exponent_by_ie(shape: SystemShape, group: Sequence[Offsets]) -> int:
-    """Cells covered by the union of the windows, by inner inclusion-exclusion.
-
-    Sums ``(-1)^(|J'|+1) * intersection_volume(J')`` over all nonempty
-    subsets J' of the group.  This is the reference route; cost is 2^|group|,
-    guarded by :data:`DEFAULT_INNER_IE_LIMIT`.
-    """
-    group = list(group)
-    m = len(group)
-    if m == 0:
-        raise ValueError("group of elementary failures must be nonempty")
-    if m > DEFAULT_INNER_IE_LIMIT:
-        raise ResourceLimitError(
-            f"inner inclusion-exclusion over {m} windows exceeds the limit "
-            f"{DEFAULT_INNER_IE_LIMIT} (cost 2^{m}); use union_exponent_by_cells "
-            "instead"
-        )
-    total = 0
-    for bits in range(1, 1 << m):
-        sub = [group[j] for j in range(m) if bits >> j & 1]
-        sign = 1 if bits.bit_count() % 2 == 1 else -1
-        total += sign * intersection_volume(shape, sub)
-    return total
-
-
 @dataclass(frozen=True)
 class CellMaskTable:
-    """Per-cell window-coverage bitmasks plus their compressed multiset.
+    """Per-cell window-coverage bitmasks, as a multiset.
 
-    ``cell_masks[i]`` has bit j set iff window j (in enumeration order)
-    covers the cell at flat row-major index i.  ``groups`` holds each
-    distinct nonzero mask with its multiplicity, ascending by mask;
-    ``covered_cells`` is the number of cells under at least one window.
+    A cell's mask has bit j set iff window j (in enumeration order) covers
+    it.  ``groups`` holds each distinct nonzero mask with the number of
+    cells that have it, ascending by mask; ``covered_cells`` is the number
+    of cells under at least one window.
     """
 
     num_windows: int
-    cell_masks: tuple[int, ...]
     groups: tuple[tuple[int, int], ...]
     covered_cells: int
 
@@ -299,40 +237,9 @@ def build_cell_mask_table(shape: SystemShape) -> CellMaskTable:
     groups = tuple(sorted(counts.items()))
     return CellMaskTable(
         num_windows=len(windows),
-        cell_masks=tuple(masks),
         groups=groups,
         covered_cells=sum(c for _, c in groups),
     )
-
-
-def union_exponent_by_cells(table: CellMaskTable, subset_mask: int) -> int:
-    """Cells covered by the union of the windows selected by ``subset_mask``:
-    those whose coverage mask intersects the subset."""
-    if subset_mask == 0:
-        raise ValueError("subset mask must be nonzero")
-    return sum(mult for mask, mult in table.groups if mask & subset_mask)
-
-
-class SubsetTerm(NamedTuple):
-    """One inclusion-exclusion summand: subset bitmask, sign, q-exponent."""
-
-    subset: int
-    sign: int
-    exponent: int
-
-
-def iter_subset_terms(shape: SystemShape) -> Iterator[SubsetTerm]:
-    """Yield every summand of the failure polynomial, in subset-index order.
-
-    Diagnostic/reference view of the sweep; the polynomial itself is
-    assembled by :func:`failure_polynomial`, which fuses the accumulation.
-    """
-    table = _checked_table(shape, _DEFAULT_CONFIG)
-    if table is None:
-        return
-    for bits in range(1, 1 << table.num_windows):
-        sign = 1 if bits.bit_count() % 2 == 1 else -1
-        yield SubsetTerm(bits, sign, union_exponent_by_cells(table, bits))
 
 
 # -- route costs --------------------------------------------------------------

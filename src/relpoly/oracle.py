@@ -6,9 +6,7 @@ axis), tally failures by weight, and rebuild the failure polynomial from
 the tally.  No counting shortcuts, so the results are trustworthy checks
 for both of the engine's exact routes, inclusion-exclusion and the
 transfer matrix.  Monte Carlo classifies its draws with the same
-detector; :func:`naive_window_scan` is its cell-by-cell reference.  A
-classic 1-D reliability recursion is included as a further, independently
-derived route for d=1.
+detector.
 
 The oracle never imports the engine; window placements are re-derived
 locally from the shape.
@@ -16,10 +14,7 @@ locally from the shape.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -39,56 +34,15 @@ DEFAULT_ORACLE_CAP = 24
 _TALLY_CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
-class BinaryArray:
-    """One concrete 0/1 configuration of a shape's cells.
-
-    Bit i of ``bits`` is the cell at flat row-major index i, where cell
-    (i_1, ..., i_d) with 0-based coordinates maps to
-    ``(((i_1 * n_2) + i_2) * n_3 + ...) + i_d`` (last axis fastest).
-    """
-
-    shape: SystemShape
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.shape.volume):
-            raise ValueError("bit pattern wider than the array volume")
-
-    @classmethod
-    def from_cells(cls, shape: SystemShape, cells: Sequence[int]) -> "BinaryArray":
-        if len(cells) != shape.volume:
-            raise ValueError(
-                f"expected {shape.volume} cells, got {len(cells)}"
-            )
-        bits = 0
-        for i, v in enumerate(cells):
-            if v not in (0, 1):
-                raise ValueError(f"cell values must be 0 or 1, got {v!r}")
-            bits |= v << i
-        return cls(shape, bits)
-
-    def cell(self, coords: Sequence[int]) -> int:
-        """Value at 0-based coordinates."""
-        idx = 0
-        for i, nr in zip(coords, self.shape.n):
-            if not 0 <= i < nr:
-                raise IndexError(f"coordinate {list(coords)} out of range")
-            idx = idx * nr + i
-        return self.bits >> idx & 1
-
-    @property
-    def weight(self) -> int:
-        """Number of 1-cells."""
-        return self.bits.bit_count()
-
-
 def detect_failures(shape: SystemShape, patterns: np.ndarray) -> np.ndarray:
     """Classify a batch of configurations: does any window come up all ones?
 
-    ``patterns`` is a (B, N) 0/1 array, rows in the flat bit order of
-    :class:`BinaryArray`; any dtype, but a non-bool array holding a value
-    other than 0 or 1 raises ValueError.  Returns a length-B bool array.
+    ``patterns`` is a (B, N) 0/1 array.  Column i of a row is the cell at
+    flat index i, row-major with the last axis fastest: cell
+    (i_1, ..., i_d), 0-based, is column
+    ``(((i_1 * n_2) + i_2) * n_3 + ...) + i_d``.  Any dtype, but a non-bool
+    array holding a value other than 0 or 1 raises ValueError.  Returns a
+    length-B bool array.
 
     Separable box erosion (van Herk 1992; Gil & Werman 1993): viewed as
     ``(B, *n)`` bool, each axis r is folded with
@@ -121,28 +75,6 @@ def detect_failures(shape: SystemShape, patterns: np.ndarray) -> np.ndarray:
     return a.reshape(batch, -1).any(axis=1)
 
 
-def has_failure_window(arr: BinaryArray) -> bool:
-    """True iff the configuration contains a contiguous all-ones window."""
-    n = arr.shape.volume
-    row = np.fromiter((arr.bits >> i & 1 for i in range(n)), dtype=bool, count=n)
-    return bool(detect_failures(arr.shape, row.reshape(1, n))[0])
-
-
-def naive_window_scan(arr: BinaryArray) -> bool:
-    """Reference detector: test every window cell-by-cell, no tables."""
-    shape = arr.shape
-    if not shape.failable:
-        return False
-    corner_ranges = [range(nr - sr + 1) for nr, sr in zip(shape.n, shape.s)]
-    for corner in itertools.product(*corner_ranges):
-        cells = itertools.product(
-            *[range(c, c + sr) for c, sr in zip(corner, shape.s)]
-        )
-        if all(arr.cell(coords) for coords in cells):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class WeightTally:
     """Failed-configuration counts by number of 1-cells.
@@ -168,9 +100,8 @@ def brute_force_tally(shape: SystemShape) -> WeightTally:
     """Sweep all 2^N configurations and tally failures by weight.
 
     Patterns are processed in index-range chunks: the indices' little-endian
-    bytes are unpacked into bool rows in the flat bit order of
-    :class:`BinaryArray`, and each chunk is classified with
-    :func:`detect_failures`.  Refuses past :data:`DEFAULT_ORACLE_CAP` cells.
+    bytes are unpacked into bool rows, bit i of an index into column i, and
+    each chunk is classified with :func:`detect_failures`.  Refuses past :data:`DEFAULT_ORACLE_CAP` cells.
     """
     volume = shape.volume
     if volume > DEFAULT_ORACLE_CAP:
@@ -210,28 +141,3 @@ def tally_to_polynomial(tally: WeightTally) -> IntPolynomial:
         coeffs[k] += fk
     return IntPolynomial(enumerate(coeffs.tolist()))
 
-
-def one_dim_recursion(k: int, n: int, q: Fraction | int) -> Fraction:
-    """Reliability of the 1-D system, by the classic linear recursion.
-
-    With fewer than k nodes the system cannot fail; with exactly k it
-    survives unless all k nodes fail; beyond that each extra node removes
-    the configurations whose new node completes a failing run:
-
-        R_m = R_{m-1} - (1 - q) * q^k * R_{m-k-1}   for m > k.
-
-    Evaluated exactly in rational arithmetic.  A derivation lineage
-    independent of both engine routes, used to triangulate d=1 results.
-    """
-    if k < 1:
-        raise ValueError(f"run length k must be positive, got {k}")
-    if n < 0:
-        raise ValueError(f"node count n must be non-negative, got {n}")
-    q = Fraction(q)
-    if n < k:
-        return Fraction(1)
-    values = [Fraction(1)] * k + [1 - q**k]  # R_0 .. R_k
-    step = (1 - q) * q**k
-    for m in range(k + 1, n + 1):
-        values.append(values[m - 1] - step * values[m - k - 1])
-    return values[n]

@@ -1,14 +1,23 @@
-"""Shared test utilities: the shape catalog and a tiny set-based window model.
+"""Shared test utilities: the shape catalog, a tiny set-based window model,
+and the reference routines the package is checked against.
 
 The catalog is the fixed universe the equivalence suites sweep: every
 failable shape of dimension up to 3 whose cell count stays within a cap.
 The set-based helpers re-derive window geometry from first principles
-(explicit cell sets), independent of both the engine and the oracle.
+(explicit cell sets), independent of both the engine and the oracle.  The
+references compute union volumes, window detection and the 1-D
+reliability by routes the package does not take.
 """
 
 import itertools
+from fractions import Fraction
 
-from relpoly import SystemShape, validate_shape
+from relpoly import (
+    IntPolynomial,
+    SystemShape,
+    build_cell_mask_table,
+    validate_shape,
+)
 
 
 def extent_tuples(d, max_volume):
@@ -53,3 +62,83 @@ def intersection_cells(shape, group):
     for e in group[1:]:
         cells &= window_cells(shape, e)
     return cells
+
+
+def intersection_volume(shape, group):
+    """Cells common to all windows of a nonempty group of offsets: per axis
+    the windows overlap in ``max(0, s_r - (max e_r - min e_r))`` cells."""
+    vol = 1
+    for axis, sr in enumerate(shape.s):
+        offs = [e[axis] for e in group]
+        vol *= max(0, sr - (max(offs) - min(offs)))
+        if vol == 0:
+            break
+    return vol
+
+
+def union_exponent_by_ie(shape, group):
+    """Cells covered by the union of the windows, by inner inclusion-exclusion
+    over the intersection volumes of every nonempty subgroup (cost 2^|group|)."""
+    m = len(group)
+    total = 0
+    for bits in range(1, 1 << m):
+        sub = [group[j] for j in range(m) if bits >> j & 1]
+        sign = 1 if bits.bit_count() % 2 else -1
+        total += sign * intersection_volume(shape, sub)
+    return total
+
+
+def union_exponent_by_cells(table, subset_mask):
+    """Cells covered by the union of the windows selected by ``subset_mask``:
+    those whose coverage mask intersects the subset."""
+    if subset_mask == 0:
+        raise ValueError("subset mask must be nonzero")
+    return sum(mult for mask, mult in table.groups if mask & subset_mask)
+
+
+def subset_sum_polynomial(shape):
+    """The failure polynomial summed term by term: ``(-1)^(|J|+1) q^k(J)``
+    over every nonempty window subset J, ``k(J)`` by
+    :func:`union_exponent_by_cells`."""
+    table = build_cell_mask_table(shape)
+    return IntPolynomial(
+        (union_exponent_by_cells(table, bits), 1 if bits.bit_count() % 2 else -1)
+        for bits in range(1, 1 << table.num_windows)
+    )
+
+
+def naive_window_scan(shape, bits):
+    """Reference detector: is some window all ones, cell set by cell set?
+
+    Bit i of ``bits`` is the cell at flat index i, row-major with the last
+    axis fastest, which is the order ``itertools.product`` lists cells in.
+    """
+    cells = itertools.product(*map(range, shape.n))
+    ones = {c for i, c in enumerate(cells) if bits >> i & 1}
+    corners = itertools.product(
+        *[range(1, nr - sr + 2) for nr, sr in zip(shape.n, shape.s)]
+    )
+    return any(window_cells(shape, e) <= ones for e in corners)
+
+
+def one_dim_recursion(k, n, q):
+    """Reliability of the 1-D system, by the classic linear recursion.
+
+    With fewer than k nodes the system cannot fail; with exactly k it
+    survives unless all k nodes fail; beyond that each extra node removes
+    the configurations whose new node completes a failing run:
+
+        R_m = R_{m-1} - (1 - q) * q^k * R_{m-k-1}   for m > k.
+
+    Evaluated exactly in rational arithmetic.
+    """
+    if k < 1:
+        raise ValueError(f"run length k must be positive, got {k}")
+    if n < 0:
+        raise ValueError(f"node count n must be non-negative, got {n}")
+    q = Fraction(q)
+    values = [Fraction(1)] * k + [1 - q**k]  # R_0 .. R_k
+    step = (1 - q) * q**k
+    for m in range(k + 1, n + 1):
+        values.append(values[m - 1] - step * values[m - k - 1])
+    return values[n]

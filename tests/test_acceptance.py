@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import catalog
+from helpers import (
+    catalog,
+    one_dim_recursion,
+    subset_sum_polynomial,
+    union_exponent_by_cells,
+    union_exponent_by_ie,
+)
 from relpoly import (
     EngineConfig,
     IntPolynomial,
@@ -31,12 +37,8 @@ from relpoly.cli import main
 from relpoly.engine import (
     failed_count_from_polynomial,
     inclusion_exclusion_polynomial,
-    iter_subset_terms,
     transfer_matrix_tally,
-    union_exponent_by_cells,
-    union_exponent_by_ie,
 )
-from relpoly.oracle import one_dim_recursion
 
 SPOT_SHAPES = [
     ([17], [2]),
@@ -132,9 +134,7 @@ def test_criterion_3_inner_ie_equivalence():
         for shape in shapes:
             if shape.num_windows > 12:
                 continue
-            summed = IntPolynomial(
-                (t.exponent, t.sign) for t in iter_subset_terms(shape)
-            )
+            summed = subset_sum_polynomial(shape)
             assert inclusion_exclusion_polynomial(shape) == summed, shape
 
 

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import intersection_cells, union_cells
+from helpers import (
+    intersection_cells,
+    intersection_volume,
+    one_dim_recursion,
+    subset_sum_polynomial,
+    union_cells,
+    union_exponent_by_cells,
+    union_exponent_by_ie,
+)
 from relpoly import (
     EngineConfig,
     IntPolynomial,
@@ -33,14 +41,9 @@ from relpoly.engine import (
     choose_route,
     failed_count_from_polynomial,
     inclusion_exclusion_polynomial,
-    intersection_volume,
-    iter_subset_terms,
-    pair_overlap_extent,
+    ordered_map,
     transfer_matrix_tally,
-    union_exponent_by_cells,
-    union_exponent_by_ie,
 )
-from relpoly.oracle import one_dim_recursion
 
 # Printed in the source material for this system family and re-derived here
 # by brute force in the oracle tests.
@@ -78,20 +81,19 @@ class TestEnumeration:
 class TestOverlapAndVolume:
     def test_singleton_extent_is_window_extent(self):
         shape = validate_shape([5, 5], [2, 3])
-        assert pair_overlap_extent(shape, [(2, 2)], 0) == 2
-        assert pair_overlap_extent(shape, [(2, 2)], 1) == 3
+        assert intersection_volume(shape, [(2, 2)]) == 2 * 3
 
     def test_adjacent_windows_share_one_cell(self):
         shape = validate_shape([3], [2])
-        assert pair_overlap_extent(shape, [(1,), (2,)], 0) == 1
+        assert intersection_volume(shape, [(1,), (2,)]) == 1
 
     def test_disjoint_windows(self):
         shape = validate_shape([4], [2])
-        assert pair_overlap_extent(shape, [(1,), (3,)], 0) == 0
+        assert intersection_volume(shape, [(1,), (3,)]) == 0
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            pair_overlap_extent(validate_shape([3], [2]), [], 0)
+            intersection_volume(validate_shape([3], [2]), [])
 
     def test_singleton_volume(self):
         shape = validate_shape([2, 3, 4], [1, 2, 3])
@@ -126,9 +128,6 @@ class TestUnionExponent:
         assert len(union_cells(shape, group)) == 4
 
     def test_inner_limit(self):
-        shape = validate_shape([21], [1])
-        with pytest.raises(ResourceLimitError):
-            union_exponent_by_ie(shape, enumerate_elementary_failures(shape))
         shape = validate_shape([12], [1])
         group = enumerate_elementary_failures(shape)
         assert union_exponent_by_ie(shape, group) == 12
@@ -185,7 +184,6 @@ class TestCellMaskTable:
     def test_masks_and_groups(self):
         shape = validate_shape([3], [2])  # windows [1,2] and [2,3]
         table = build_cell_mask_table(shape)
-        assert table.cell_masks == (0b01, 0b11, 0b10)
         assert table.groups == ((0b01, 1), (0b10, 1), (0b11, 1))
         assert table.covered_cells == 3
 
@@ -193,7 +191,6 @@ class TestCellMaskTable:
         shape = validate_shape([3, 4], [2, 2])
         table = build_cell_mask_table(shape)
         assert sum(m for _, m in table.groups) == table.covered_cells
-        assert table.covered_cells == sum(1 for m in table.cell_masks if m)
 
     def test_bit_positions_follow_enumeration(self):
         shape = validate_shape([2, 2], [1, 2])
@@ -206,18 +203,16 @@ class TestCellMaskTable:
 
 class TestSubsetTerms:
     def test_terms_for_two_unit_windows(self):
+        # two singletons at q^1, the pair at -q^2
         shape = validate_shape([2], [1])
-        assert list(iter_subset_terms(shape)) == [
-            (0b01, 1, 1), (0b10, 1, 1), (0b11, -1, 2),
-        ]
+        assert subset_sum_polynomial(shape) == IntPolynomial({1: 2, 2: -1})
 
     def test_singleton_exponent_is_window_volume(self):
         shape = validate_shape([3, 3], [2, 2])
-        for term in iter_subset_terms(shape):
-            if term.subset.bit_count() == 1:
-                assert term.exponent == shape.window_volume
-            assert term.exponent >= shape.window_volume
-            assert term.sign == (1 if term.subset.bit_count() % 2 else -1)
+        assert subset_sum_polynomial(shape).lowest_term() == (
+            shape.window_volume,
+            shape.num_windows,
+        )
 
 
 class TestFailurePolynomial:
@@ -257,9 +252,7 @@ class TestFailurePolynomial:
         for n, s in [([6], [2]), ([3, 4], [2, 2]), ([2, 2, 3], [1, 2, 2]),
                      ([8], [1]), ([16], [14])]:
             shape = validate_shape(n, s)
-            summed = IntPolynomial(
-                (t.exponent, t.sign) for t in iter_subset_terms(shape)
-            )
+            summed = subset_sum_polynomial(shape)
             assert inclusion_exclusion_polynomial(shape) == summed, (n, s)
 
     def test_dimension_permutation_symmetry(self):
@@ -297,6 +290,29 @@ class TestWorkers:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             EngineConfig(workers=0).resolved_workers()
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # a pool that records its size and maps serially: no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("relpoly.engine.ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        jobs = [(i,) for i in range(64)]
+        assert ordered_map(lambda i: i * i, jobs, 10_000) == [i * i for i in range(64)]
+        assert sizes == [2]
 
 
 class TestCounts:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import catalog
+from helpers import catalog, naive_window_scan, one_dim_recursion
 from relpoly import (
     IntPolynomial,
     ResourceLimitError,
@@ -21,59 +21,45 @@ from relpoly import (
     tally_to_polynomial,
     validate_shape,
 )
-from relpoly.oracle import (
-    BinaryArray,
-    has_failure_window,
-    naive_window_scan,
-    one_dim_recursion,
-)
 
 
-class TestBinaryArray:
-    def test_from_cells_and_flat_order(self):
-        shape = validate_shape([2, 3], [1, 2])
-        arr = BinaryArray.from_cells(shape, [1, 0, 0, 0, 1, 0])
-        # row-major, last axis fastest: bit index of (i1, i2) is i1*3 + i2
-        assert arr.cell((0, 0)) == 1
-        assert arr.cell((1, 1)) == 1
-        assert arr.cell((0, 1)) == 0
-        assert arr.weight == 2
-        assert arr.bits == 0b010001
-
-    def test_rejects_bad_input(self):
-        shape = validate_shape([2], [1])
-        with pytest.raises(ValueError):
-            BinaryArray.from_cells(shape, [1])
-        with pytest.raises(ValueError):
-            BinaryArray.from_cells(shape, [2, 0])
-        with pytest.raises(ValueError):
-            BinaryArray(shape, 1 << 5)
-        with pytest.raises(IndexError):
-            BinaryArray(shape, 0).cell((2,))
+def rows(shape, bit_patterns):
+    """A (len, N) bool batch; bit i of each pattern is column i."""
+    return np.array(
+        [[bits >> i & 1 for i in range(shape.volume)] for bits in bit_patterns],
+        dtype=bool,
+    )
 
 
 class TestDetection:
     def test_all_ones_fails(self):
         shape = validate_shape([2, 3], [1, 2])
-        arr = BinaryArray(shape, (1 << shape.volume) - 1)
-        assert has_failure_window(arr)
+        assert detect_failures(shape, np.ones((1, shape.volume)))[0]
 
     def test_all_zeros_survives(self):
         shape = validate_shape([2, 3], [1, 2])
-        assert not has_failure_window(BinaryArray(shape, 0))
+        assert not detect_failures(shape, np.zeros((1, shape.volume)))[0]
 
     def test_exact_window_fails(self):
         # ones exactly at the two cells of the window anchored at (1, 1)
         shape = validate_shape([2, 3], [1, 2])
-        arr = BinaryArray.from_cells(shape, [1, 1, 0, 0, 0, 0])
-        assert has_failure_window(arr)
-        assert naive_window_scan(arr)
+        assert detect_failures(shape, np.array([[1, 1, 0, 0, 0, 0]]))[0]
+        assert naive_window_scan(shape, 0b11)
 
     def test_nonfailable_never_fails(self):
         shape = validate_shape([2], [3])
-        arr = BinaryArray(shape, 0b11)
-        assert not has_failure_window(arr)
-        assert not naive_window_scan(arr)
+        assert not detect_failures(shape, np.ones((1, 2)))[0]
+        assert not naive_window_scan(shape, 0b11)
+
+    def test_flat_bit_order(self):
+        # row-major, last axis fastest: cell (i1, i2) is column i1*3 + i2,
+        # and the 1x2 window lies along the last axis
+        shape = validate_shape([2, 3], [1, 2])
+        ones = [(0, 1), (0, 3), (4, 5)]
+        bit_patterns = [sum(1 << i for i in cells) for cells in ones]
+        expected = [True, False, True]
+        assert detect_failures(shape, rows(shape, bit_patterns)).tolist() == expected
+        assert [naive_window_scan(shape, bits) for bits in bit_patterns] == expected
 
     def test_batch_matches_single(self):
         shape = validate_shape([3, 3], [2, 2])
@@ -81,8 +67,7 @@ class TestDetection:
         patterns = rng.integers(0, 2, size=(64, shape.volume), dtype=np.uint8)
         batch = detect_failures(shape, patterns)
         for row, flag in zip(patterns, batch):
-            arr = BinaryArray.from_cells(shape, [int(v) for v in row])
-            assert has_failure_window(arr) == flag
+            assert detect_failures(shape, row[None, :])[0] == flag
 
     def test_batch_shape_check(self):
         with pytest.raises(ValueError):
@@ -95,9 +80,9 @@ class TestDetection:
     def test_prefix_detector_agrees_with_naive_scan(self, n, s):
         shape = validate_shape(n, s)
         rng = random.Random(20260809)
-        for _ in range(2500):
-            arr = BinaryArray(shape, rng.getrandbits(shape.volume))
-            assert has_failure_window(arr) == naive_window_scan(arr)
+        bit_patterns = [rng.getrandbits(shape.volume) for _ in range(2500)]
+        expected = [naive_window_scan(shape, bits) for bits in bit_patterns]
+        assert detect_failures(shape, rows(shape, bit_patterns)).tolist() == expected
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -107,8 +92,7 @@ class TestDetection:
         shape = validate_shape(n, s)
         bits = data.draw(st.integers(0, (1 << shape.volume) - 1))
         flip = data.draw(st.integers(0, shape.volume - 1))
-        before = has_failure_window(BinaryArray(shape, bits))
-        after = has_failure_window(BinaryArray(shape, bits | (1 << flip)))
+        before, after = detect_failures(shape, rows(shape, [bits, bits | 1 << flip]))
         assert after or not before
 
     @given(st.data())
@@ -118,15 +102,11 @@ class TestDetection:
         n = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
         s = [data.draw(st.integers(1, x + 1)) for x in n]
         shape = validate_shape(n, s)
-        rows = data.draw(
+        bit_patterns = data.draw(
             st.lists(st.integers(0, (1 << shape.volume) - 1), min_size=1, max_size=16)
         )
-        patterns = np.array(
-            [[bits >> i & 1 for i in range(shape.volume)] for bits in rows],
-            dtype=bool,
-        )
-        expected = [naive_window_scan(BinaryArray(shape, bits)) for bits in rows]
-        assert detect_failures(shape, patterns).tolist() == expected
+        expected = [naive_window_scan(shape, bits) for bits in bit_patterns]
+        assert detect_failures(shape, rows(shape, bit_patterns)).tolist() == expected
 
     def test_rejects_cells_other_than_zero_or_one(self):
         shape = validate_shape([2, 2], [2, 1])
