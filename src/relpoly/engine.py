@@ -14,8 +14,9 @@ lattice cell knows the bitmask of windows covering it (the cell-mask
 table), so ``k(J)`` is the number of cells whose mask intersects J.
 :func:`inclusion_exclusion_polynomial` computes every exponent at once: one
 subset-sum (zeta) transform over the cell masks, O(2^|E| * |E|), turns each
-``k(J)`` into a table lookup, and the sweep tallies the lookups by exponent
-and sign in vectorized chunks.
+``k(J)`` into a table entry.  The table is processed in fixed blocks that
+stay in cache: each block finishes its low zeta passes on uint64 words of
+several table entries, then is histogrammed by exponent and sign at once.
 
 **Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
 configurations by weight in one scan along an axis ``a`` (finite Markov
@@ -93,15 +94,31 @@ TRANSFER_MATRIX = "transfer-matrix"
 #: Environment variable consulted when no worker count is passed.
 WORKERS_ENV_VAR = "RELPOLY_WORKERS"
 
-# Work is split into fixed-size chunks of subset indices regardless of the
-# worker count, and merged by commutative integer addition, so results are
-# bit-identical for any worker count.
-_ZETA_CHUNK = 1 << 22
+# The zeta table is processed in blocks of 2^_BLOCK_BITS entries (1 MB of
+# uint8, within a 2 MB L2 cache): once the passes for the higher bits have
+# run over the whole table, each block runs its low passes and its
+# histogram while it is in cache.  Blocks of 2^18 entries ran as fast on
+# one thread, but made four times as many short numpy calls, and two
+# threads contending for the interpreter lock then gained nothing or ran
+# slower than one.
+# The blocks are fixed whatever the worker count and their tallies merge by
+# integer addition, so results are bit-identical for any worker count.
+_BLOCK_BITS = 20
 
-# Peak bytes per subset index held in one zeta chunk's temporaries (int64
-# exponents and keys, uint64 indices, their popcounts): 17 measured with
-# tracemalloc, rounded up.
-_ZETA_CHUNK_BYTES_PER_SUBSET = 24
+# Peak bytes per block entry in one block's temporaries: its keys (up to 4
+# bytes) and the int64 copy np.bincount makes of them, plus slack.
+# tracemalloc measures 6.5 per entry for uint8 keys counted in pairs, 10
+# counted one by one, 12.4 for uint16 keys.
+_BLOCK_BYTES_PER_ENTRY = 16
+
+# The table is read as little-endian uint64 words of 8, 4 or 2 lanes.  A
+# zeta pass within a word moves the lanes masked here (the low half of each
+# group of 2 * shift bits) up by ``shift`` bits and adds them.
+_WORD = np.dtype("<u8")
+_LOW_LANES = {
+    shift: np.uint64(sum(((1 << shift) - 1) << g for g in range(0, 64, 2 * shift)))
+    for shift in (8, 16, 32)
+}
 
 # State tensors alive at the peak of one scan step, as multiples of the
 # final one: the current state and its successor, one weight wider (2.0
@@ -109,22 +126,27 @@ _ZETA_CHUNK_BYTES_PER_SUBSET = 24
 _SCAN_LIVE_MATRICES = 3
 
 # The cost model of the two routes, in seconds.  Inclusion-exclusion costs
-# a fixed per-call overhead (cell-mask table, per-window zeta passes) plus
-# 2^|E| * |E| steps (transform plus sweep).  The transfer matrix costs, per
-# scanned cell, a fixed numpy overhead plus one step per state-by-weight
-# count, and N^2 steps to rebuild the polynomial (math.comb per weight,
-# Horner in 1 - q): N * (cell + states * (N + 1) * entry + N * rebuild),
-# with the state bound as the state count.  Fitted to timings of both
-# routes at one worker on a 2-core x86-64 host (Python 3.11, numpy 2.4):
-# 0.85-1.9 ns per inclusion-exclusion step for |E| >= 16, and 0.15 ms per
-# call, the median excess over the step term of 70 timings at |E| = 3-13
-# (quartiles 0.11 and 0.20 ms); for the dense scan over 25 shapes, 16.5 us
-# per cell, and 2.2 ns per int64 or 25 ns per Python-int count, each shape
-# within 0.74-1.37x of its scan time; 0.22 us per rebuild step, the
-# least-squares fit in relative error of the whole polynomial's medians
-# over 40 1-D and 2-D shapes with N = 3-200 (0.39-1.42x of each).
-_IE_SECONDS_PER_CALL = 1.5e-4
-_IE_SECONDS_PER_STEP = 1.3e-9
+# a fixed per-call overhead (cell-mask table, numpy calls) plus 2^|E| * |E|
+# steps (the zeta passes over the blocked table, then one histogram).  The
+# transfer matrix costs, per scanned cell, a fixed numpy overhead plus one
+# step per state-by-weight count, and N^2 steps to rebuild the polynomial
+# (math.comb per weight, Horner in 1 - q): N * (cell + states * (N + 1) *
+# entry + N * rebuild), with the state bound as the state count.  Fitted to
+# timings of both routes at one worker on a 2-core x86-64 host (Python
+# 3.11, numpy 2.4).  Inclusion-exclusion: medians of 73 shapes with |E| =
+# 3-28, the per-call and per-step terms fitted together in log error,
+# subject to keeping the routes of the benchmark and routing-test shapes.
+# Unconstrained, the fit is 0.14 ms + 0.29 ns per step (within 0.54-1.83x
+# of every shape), but it sends [14]x[2] and [5,5]x[2,2] to
+# inclusion-exclusion; kept to the routes, it is 0.16 ms + 1.25 ns per
+# step, within 0.70-2.97x of the time for |E| <= 18 and 2.9-7.9x above it
+# for |E| >= 20.  Dense scan over 25 shapes: 16.5 us per cell, and 2.2 ns per
+# int64 or 25 ns per Python-int count, each shape within 0.74-1.37x of its
+# scan time; 0.22 us per rebuild step, the least-squares fit in relative
+# error of the whole polynomial's medians over 40 1-D and 2-D shapes with
+# N = 3-200 (0.39-1.42x of each).
+_IE_SECONDS_PER_CALL = 1.6e-4
+_IE_SECONDS_PER_STEP = 1.25e-9
 _SCAN_SECONDS_PER_CELL = 1.65e-5
 _SCAN_SECONDS_PER_INT64_ENTRY = 2.2e-9
 _SCAN_SECONDS_PER_OBJECT_ENTRY = 2.5e-8
@@ -152,6 +174,12 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def _pool_threads(workers: int, jobs: float) -> int:
+    """Threads a pool runs ``jobs`` jobs on: at most one per job and core."""
+    threads = min(workers, jobs)
+    return threads if threads <= 1 else min(threads, os.cpu_count() or 1)
+
+
 def ordered_map(fn, jobs: Sequence[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, on a thread pool when that can help.
 
@@ -160,7 +188,7 @@ def ordered_map(fn, jobs: Sequence[tuple], workers: int) -> list:
     downstream merge sees the same sequence regardless of worker count or
     scheduling.
     """
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = _pool_threads(workers, len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -173,7 +201,7 @@ class EngineConfig:
 
     ``workers=None`` reads the RELPOLY_WORKERS environment variable and
     falls back to 1.  It changes only how fast the result is computed, and
-    the predicted memory of the inclusion-exclusion chunks in flight.
+    the predicted memory of the inclusion-exclusion blocks in flight.
     """
 
     workers: int | None = None
@@ -306,15 +334,16 @@ def _zeta_dtype(covered_cells: int) -> type:
 
 
 def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> RouteCost:
-    m = shape.num_windows
+    m, volume = shape.num_windows, shape.volume
     subsets = _pow2(m)
-    # the sweep's chunks split the 2^m - 1 nonempty subsets; at most one per
-    # worker is in flight
-    chunks = max(1.0, subsets / _ZETA_CHUNK)
-    in_flight = min(config.resolved_workers(), chunks)
+    block = min(subsets, 1 << _BLOCK_BITS)
+    blocks = subsets / block
+    threads = _pool_threads(config.resolved_workers(), blocks)
+    key_bytes = np.dtype(_zeta_dtype(2 * volume + 1)).itemsize
     nbytes = (
-        subsets * np.dtype(_zeta_dtype(shape.volume)).itemsize
-        + min(subsets, _ZETA_CHUNK) * in_flight * _ZETA_CHUNK_BYTES_PER_SUBSET
+        subsets * np.dtype(_zeta_dtype(volume)).itemsize  # the table
+        + block * (key_bytes + threads * _BLOCK_BYTES_PER_ENTRY)
+        + blocks * 16 * (volume + 1)  # one int64 tally per block
     )
     seconds = _IE_SECONDS_PER_CALL + _IE_SECONDS_PER_STEP * subsets * m
     return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes)
@@ -371,45 +400,76 @@ def _checked_table(shape: SystemShape, config: EngineConfig) -> CellMaskTable | 
     return build_cell_mask_table(shape)
 
 
-def _zeta_containment_table(table: CellMaskTable) -> np.ndarray:
-    """f[S] = number of covered cells whose mask is contained in S.
+def _zeta_passes(f: np.ndarray, bits: range) -> None:
+    """Run the zeta passes for ``bits`` on ``f``, in place.
 
-    Subset-sum (zeta) transform over the distinct-mask multiset, in place.
-    Values never exceed ``covered_cells``.
+    Pass i adds entry ``S - 2^i`` to every entry S that has bit i.  ``f``
+    is read as uint64 words of several lanes; no lane carries into the
+    next, because every sum is at most ``covered_cells`` and fits its lane.
+    A pass across words adds whole words; a pass within a word shifts the
+    low lanes of each group onto the high ones.
+    """
+    lanes = _WORD.itemsize // f.itemsize
+    words = f.view(_WORD)
+    moved = None
+    for i in bits:
+        stride = 1 << i
+        if stride < lanes:
+            shift = 8 * f.itemsize * stride
+            moved = np.bitwise_and(words, _LOW_LANES[shift], out=moved)
+            moved <<= np.uint64(shift)
+            words += moved
+        else:
+            pairs = words.reshape(-1, 2, stride // lanes)
+            if pairs.shape[2] > 8:
+                pairs[:, 1] += pairs[:, 0]
+            else:  # numpy is slow on short rows: add column by column
+                for col in range(pairs.shape[2]):
+                    pairs[:, 1, col] += pairs[:, 0, col]
+
+
+def _zeta_table(table: CellMaskTable) -> np.ndarray:
+    """f[S] = covered cells whose mask lies in S, save for the low bits.
+
+    The passes for bits ``_BLOCK_BITS`` and up run here over the whole
+    table; each block runs its own low passes in :func:`_block_tally`.
+    Holds at least one word, zero past ``2^num_windows``.
     """
     m = table.num_windows
-    f = np.zeros(1 << m, dtype=_zeta_dtype(table.covered_cells))
+    dtype = np.dtype(_zeta_dtype(table.covered_cells))
+    f = np.zeros(max(1 << m, _WORD.itemsize // dtype.itemsize), dtype=dtype)
     for mask, mult in table.groups:
         f[mask] = mult
-    for i in range(m):
-        view = f.reshape(-1, 2, 1 << i)
-        view[:, 1, :] += view[:, 0, :]
+    _zeta_passes(f, range(_BLOCK_BITS, m))
     return f
 
 
-def _sweep_zeta_chunk(
-    f: np.ndarray, covered: int, num_windows: int, start: int, stop: int
+def _block_tally(
+    block: np.ndarray, size: int, parity: np.ndarray, covered: int, odd: bool
 ) -> np.ndarray:
-    """Per-(exponent, parity) tallies for subsets in [start, stop).
+    """Finish one block's zeta passes and count its first ``size`` entries.
 
-    The exponent of subset J is ``covered - f[full ^ J]``: covered cells
-    minus those buried entirely in the complement of J.  ``full ^ J``
-    equals ``full - J``, so the lookups are a reversed slice of f.
-    Entry ``2*e + p`` counts the subsets of exponent e and size parity p
-    (1 for odd, which carries the + sign).  Tallies are int64 subset
-    counts, bounded by 2^num_windows.
+    Entry ``[v, p]`` counts the sets S of the block with ``f[S] = v`` and
+    ``|S|`` of parity p.  The histogram key is ``2 f[S]`` plus the parity
+    of the low bits of S (``parity``, one entry per block entry); ``odd``
+    says the block index has odd parity, which swaps the columns.
     """
-    full = (1 << num_windows) - 1
-    exps = covered - f[full - stop + 1 : full - start + 1][::-1].astype(np.int64)
-    parity = np.bitwise_count(np.arange(start, stop, dtype=np.uint64)) & 1
-    return np.bincount(2 * exps + parity, minlength=2 * (covered + 1))
-
-
-def _spans(total_start: int, total_stop: int, chunk: int) -> list[tuple[int, int]]:
-    return [
-        (a, min(a + chunk, total_stop))
-        for a in range(total_start, total_stop, chunk)
-    ]
+    _zeta_passes(block, range(size.bit_length() - 1))
+    if parity.dtype == block.dtype:  # the keys fit the lanes: shift words
+        words = block.view(_WORD) << np.uint64(1)
+        words |= parity.view(_WORD)
+        keys = words.view(parity.dtype)[:size]
+    else:
+        keys = block[:size].astype(parity.dtype) << 1 | parity[:size]
+    if keys.dtype == np.uint8 and size > 1 << 16:
+        # more keys than uint16 values: count them two at a time, as
+        # uint16 pairs, then marginalise
+        pairs = np.bincount(keys.view("<u2"), minlength=1 << 16).reshape(256, 256)
+        counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    else:
+        counts = np.bincount(keys, minlength=2 * covered + 2)
+    counts = counts[: 2 * covered + 2].reshape(-1, 2)
+    return counts[:, ::-1] if odd else counts
 
 
 def inclusion_exclusion_polynomial(
@@ -421,8 +481,12 @@ def inclusion_exclusion_polynomial(
     ``(-1)^(|J|+1)`` to the coefficient of ``q^k(J)``.  Returns the zero
     polynomial for non-failable shapes.  Raises
     :class:`~relpoly.model.ResourceLimitError` before allocating when the
-    zeta table and chunk temporaries would not fit in half the physical
+    zeta table and block temporaries would not fit in half the physical
     memory.
+
+    The sweep visits the complement ``S = E - J`` of each subset: ``k(J)``
+    is ``covered - f[S]`` and ``|J| = |E| - |S|``.  It counts every S,
+    block by block, and then takes out the empty J (S = E).
     """
     config = config or _DEFAULT_CONFIG
     workers = config.resolved_workers()
@@ -430,16 +494,28 @@ def inclusion_exclusion_polynomial(
     if table is None:
         return IntPolynomial.zero()
     m = table.num_windows
-    f = _zeta_containment_table(table)
     covered = table.covered_cells
+    f = _zeta_table(table)
+    size = 1 << min(m, _BLOCK_BITS)  # entries of S per block
+    span = min(len(f), 1 << _BLOCK_BITS)  # the same, padded to a word
+    # parity of the low bits of S, one key per block entry: each doubling
+    # appends the pattern so far with one more bit set
+    parity = np.zeros(span, dtype=_zeta_dtype(2 * covered + 1))
+    for i in range(span.bit_length() - 1):
+        np.bitwise_xor(parity[: 1 << i], 1, out=parity[1 << i : 2 << i])
     parts = ordered_map(
-        lambda a, b: _sweep_zeta_chunk(f, covered, m, a, b),
-        _spans(1, 1 << m, _ZETA_CHUNK),
+        lambda j: _block_tally(
+            f[j * size : j * size + span], size, parity, covered, j.bit_count() & 1
+        ),
+        [(j,) for j in range(len(f) // span)],
         workers,
     )
     tally = sum(parts)
+    # |J| is odd where |S| has the parity of |E| + 1
+    plus, minus = tally[:, (m + 1) % 2], tally[:, m % 2]
     return IntPolynomial(
-        {e: int(tally[2 * e + 1]) - int(tally[2 * e]) for e in range(covered + 1)}
+        [(covered - v, int(plus[v]) - int(minus[v])) for v in range(covered + 1)]
+        + [(0, 1)]  # the empty J, counted at S = E with a minus sign
     )
 
 

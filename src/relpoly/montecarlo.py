@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import memory_budget, ordered_map, resolve_workers
+from .engine import _pool_threads, memory_budget, ordered_map, resolve_workers
 from .model import SystemShape
 from .oracle import detect_failures
 
@@ -38,7 +38,7 @@ RNG_NAME = "philox4x64"
 _Z_95 = 1.96
 
 # Cells per row chunk of a batch (at least one row), so that a batch's peak
-# stays a few MB whatever its size; like the engine's _ZETA_CHUNK.
+# stays a few MB whatever its size, as the engine's fixed table blocks do.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -143,8 +143,9 @@ def estimate_failure_probability(
         min(batch_size, samples - start)
         for start in range(0, samples, batch_size)
     ]
-    # _CHUNK_CELLS per chunk, or fewer rows to fit each batch's budget share
-    in_flight = min(workers, len(sizes))
+    # _CHUNK_CELLS per chunk, or fewer rows to fit the budget share of each
+    # batch in flight, one per pool thread
+    in_flight = _pool_threads(workers, len(sizes))
     budget_rows = int(memory_budget() // (in_flight * _row_bytes(shape)))
     rows = max(1, min(_CHUNK_CELLS // shape.volume, budget_rows))
     counts = ordered_map(

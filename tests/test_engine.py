@@ -33,6 +33,7 @@ from relpoly import (
     tally_to_polynomial,
     validate_shape,
 )
+from relpoly import engine
 from relpoly.engine import (
     INCLUSION_EXCLUSION,
     TRANSFER_MATRIX,
@@ -315,6 +316,41 @@ class TestWorkers:
         assert sizes == [2]
 
 
+class TestBlockedKernel:
+    @pytest.mark.parametrize(
+        "n,s",
+        [
+            # |E| = 1, 2, 3: the table is shorter than one 64-bit word
+            ([2], [2]), ([3], [2]), ([4], [2]), ([2, 300], [2, 300]),
+            ([2, 100], [2, 98]),  # 200 covered cells: uint8 table, uint16 keys
+            ([2, 300], [2, 298]),  # 600: uint16 table, 4 lanes a word
+            ([2, 20000], [2, 19998]),  # 40000: uint16 table, uint32 keys
+            ([2, 40000], [2, 39998]),  # 80000: uint32 table, 2 lanes a word
+        ],
+    )
+    def test_matches_the_term_by_term_sum(self, n, s):
+        shape = validate_shape(n, s)
+        assert inclusion_exclusion_polynomial(shape) == subset_sum_polynomial(shape)
+
+    @pytest.mark.parametrize("n,s", [([6], [2]), ([4, 3], [2, 2]), ([10], [3])])
+    def test_several_blocks_match_the_term_by_term_sum(self, monkeypatch, n, s):
+        # blocks of 16 entries: |E| = 5, 6 and 8 make 2, 4 and 16 blocks,
+        # and |E| = b + 1 = 5 the fewest past one block
+        monkeypatch.setattr(engine, "_BLOCK_BITS", 4)
+        shape = validate_shape(n, s)
+        assert inclusion_exclusion_polynomial(shape) == subset_sum_polynomial(shape)
+
+    def test_blocks_bit_identical_across_worker_counts(self):
+        # four blocks, of index parity even, odd, odd, even, merged by the
+        # thread pool in block order
+        shape = validate_shape([engine._BLOCK_BITS + 2], [1])
+        assert shape.num_windows == engine._BLOCK_BITS + 2
+        expected = tally_to_polynomial(transfer_matrix_tally(shape))
+        for w in (1, 2, 8):
+            poly = inclusion_exclusion_polynomial(shape, config=EngineConfig(workers=w))
+            assert poly == expected, w
+
+
 class TestCounts:
     def test_single_counts(self):
         assert failed_count(validate_shape([2], [2])) == 1
@@ -461,12 +497,22 @@ class TestRouting:
         assert choose_route(validate_shape(n, s)).route == route
 
     def test_bytes_count_only_the_chunks_in_flight(self):
-        # 4096 subsets make one sweep chunk, run serially at any worker count
+        # 4096 subsets make one block, run serially at any worker count
         config = EngineConfig(workers=100_000)
         shape = validate_shape([4, 5], [2, 2])
         cost = choose_route(shape, config=config)
         assert cost.route == INCLUSION_EXCLUSION
         assert cost.nbytes == choose_route(shape).nbytes
+
+    def test_bytes_count_one_block_per_core(self, monkeypatch):
+        # 30 windows make 1024 blocks; 64 workers on 2 cores hold two in
+        # flight, as 2 workers do
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "memory_budget", lambda: 4e9)
+        shape = validate_shape([3, 4, 6], [2, 2, 2])
+        costs = [choose_route(shape, config=EngineConfig(workers=w)) for w in (2, 64)]
+        assert costs[0].route == costs[1].route == INCLUSION_EXCLUSION
+        assert costs[0].nbytes == costs[1].nbytes
 
     def test_no_route_error_gives_both_costs(self):
         with pytest.raises(ResourceLimitError) as exc:

@@ -1,5 +1,6 @@
 """Monte Carlo estimator: determinism, degenerate inputs, interval sanity."""
 
+import os
 import tracemalloc
 
 import pytest
@@ -101,6 +102,27 @@ class TestReproducibility:
             shape, 0.5, 2500, 3, batch_size=700, workers=2
         )
         assert max(chunks) == rows and sum(chunks) == 2500
+        assert est.failures == 223
+
+    def test_budget_shared_by_the_pool_threads(self, monkeypatch):
+        # 64 workers on 2 cores hold two batches in flight, as 2 workers do:
+        # each gets half the budget, 7 rows, and the draws do not change
+        shape = validate_shape([3, 4, 5], [2, 2, 2])
+        budget = 2 * 7 * relpoly.montecarlo._row_bytes(shape)
+        monkeypatch.setattr(relpoly.montecarlo, "memory_budget", lambda: budget)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        detect = relpoly.montecarlo.detect_failures
+        chunks = []
+
+        def counted(shape, patterns):
+            chunks.append(len(patterns))
+            return detect(shape, patterns)
+
+        monkeypatch.setattr(relpoly.montecarlo, "detect_failures", counted)
+        est = estimate_failure_probability(
+            shape, 0.5, 2500, 3, batch_size=700, workers=64
+        )
+        assert max(chunks) == 7
         assert est.failures == 223
 
     @pytest.mark.parametrize(
