@@ -2,10 +2,11 @@
 
 The statistical fallback for instances too large for the exact sweep.
 Cells are drawn independently (1 with probability q) from a counter-based
-Philox generator, thresholded into a bool mask, classified with the
-oracle's window detector (a separable box erosion of the mask, no integer
-tables), and the failure frequency is reported with a 95% confidence
-interval.
+Philox generator: each cell is one raw 64-bit word, thresholded as an
+integer into a bool mask exactly where ``Generator.random()`` would fall
+below q.  The mask is classified with the oracle's window detector (an
+in-place separable box erosion of one bool copy, no integer tables), and
+the failure frequency is reported with a 95% confidence interval.
 
 Sampling is organized in fixed-size batches; batch i derives its stream
 from (seed, i), and batch results merge by failure-count addition, so an
@@ -63,18 +64,32 @@ class McEstimate:
     rng: str = RNG_NAME
 
 
-def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
+def _batch_bits(seed: int, batch_index: int) -> np.random.Philox:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Philox(ss)
+
+
+def _draw_cells(bits: np.random.Philox, q: float, cells: tuple[int, int]) -> np.ndarray:
+    """The next ``cells`` draws of ``bits`` as a bool mask, 1 with probability q.
+
+    ``Generator.random()`` maps a raw word x to ``(x >> 11) * 2^-53``, so
+    it falls below q exactly when ``x < ceil(q * 2^53) << 11``: the mask
+    is that integer comparison on the raw words, the same draws without
+    the float conversion.  At q = 1 the bound is 2^64 and every cell is 1.
+    """
+    limit = math.ceil(q * 2**53) << 11
+    if limit >> 64:
+        return np.ones(cells, dtype=bool)
+    return bits.random_raw(cells) < limit
 
 
 def _row_bytes(shape: SystemShape) -> int:
     """Peak bytes per sampled row while a chunk is drawn and classified.
 
-    Per cell the float64 draw and its bool mask: 9 bytes.  The draw is
-    freed before the detector runs, and the detector's two bool erosion
-    temporaries (2 per cell) fit in its place.  tracemalloc measures 9.0
-    per cell plus about 1.3 KB per chunk; rounded up to 10 per cell.
+    Per cell the raw uint64 word and its bool mask: 9 bytes.  The words
+    are freed before the detector runs, and the detector's one bool copy
+    of the mask (1 per cell) fits in their place.  tracemalloc measures
+    9.0 per cell plus about 1 KB per chunk; rounded up to 10 per cell.
     """
     return 10 * shape.volume
 
@@ -88,11 +103,11 @@ def _count_batch(
     concatenate to the batch's single draw and the count does not depend
     on ``rows``.
     """
-    gen = _batch_generator(seed, batch_index)
+    bits = _batch_bits(seed, batch_index)
     failures = 0
     for start in range(0, size, rows):
-        # the float64 draws are freed once compared, before the detector runs
-        mask = gen.random((min(rows, size - start), shape.volume)) < q
+        # the raw words are freed once compared, before the detector runs
+        mask = _draw_cells(bits, q, (min(rows, size - start), shape.volume))
         failures += int(detect_failures(shape, mask).sum())
     return failures
 

@@ -44,35 +44,42 @@ def detect_failures(shape: SystemShape, patterns: np.ndarray) -> np.ndarray:
     array holding a value other than 0 or 1 raises ValueError.  Returns a
     length-B bool array.
 
-    Separable box erosion (van Herk 1992; Gil & Werman 1993): viewed as
-    ``(B, *n)`` bool, each axis r is folded with
-    ``a = a[:len - step] & a[step:]`` while the run length it certifies
-    grows 1, 2, 4, ... up to exactly ``s_r`` (the last step is shortened),
-    so ``ceil(log2 s_r)`` ANDs per axis.  A surviving position is the
-    corner of an all-ones window.  No integer table is built: the peak is
-    two bool arrays of at most the batch's size besides the input.
+    Separable box erosion (van Herk 1992; Gil & Werman 1993) on one flat,
+    row-major bool copy of the batch, in which a step along axis r is a
+    step of ``stride_r = n_{r+1} * ... * n_d`` positions.  Each axis r is
+    folded in place with ``a[:-k] &= a[k:]``, ``k = stride_r * step``,
+    while the run length it certifies grows 1, 2, 4, ... up to exactly
+    ``s_r`` (the last step is shortened), so ``ceil(log2 s_r)`` ANDs per
+    axis.  Each position reads only itself and a later one, so numpy needs
+    no temporary.  A valid corner (``i_r <= n_r - s_r`` on every axis) that
+    survives is the corner of an all-ones window; its window never crosses
+    a row or a sample, so the junk the shifts leave elsewhere is never
+    read.  ``any`` runs over a view of the valid corners.  The input is
+    never written; for a bool input the peak is one bool copy plus O(B).
     """
     patterns = np.asarray(patterns)
     if patterns.ndim != 2 or patterns.shape[1] != shape.volume:
         raise ValueError(f"expected a (batch, {shape.volume}) array")
-    if patterns.dtype != bool:
-        cells = patterns.astype(bool)
-        if np.any(cells != patterns):
-            raise ValueError("pattern cells must be 0 or 1")
-        patterns = cells
+    cells = patterns.astype(bool, order="C")
+    if patterns.dtype != bool and np.any(cells != patterns):
+        raise ValueError("pattern cells must be 0 or 1")
     batch = patterns.shape[0]
     if not shape.failable or batch == 0:
         return np.zeros(batch, dtype=bool)
 
-    a = patterns.reshape(batch, *shape.n)
-    for axis, sr in enumerate(shape.s, start=1):
-        lead = (slice(None),) * axis
+    flat = cells.reshape(-1)
+    stride = shape.volume
+    for nr, sr in zip(shape.n, shape.s):
+        stride //= nr
         run = 1
         while run < sr:
             step = min(run, sr - run)
-            a = a[lead + (slice(None, -step),)] & a[lead + (slice(step, None),)]
+            shift = stride * step
+            np.bitwise_and(flat[:-shift], flat[shift:], out=flat[:-shift])
             run += step
-    return a.reshape(batch, -1).any(axis=1)
+    valid = tuple(slice(nr - sr + 1) for nr, sr in zip(shape.n, shape.s))
+    corners = cells.reshape(batch, *shape.n)[(slice(None), *valid)]
+    return corners.any(axis=tuple(range(1, shape.d + 1)))
 
 
 @dataclass(frozen=True)

@@ -76,16 +76,37 @@ def intersection_volume(shape, group):
     return vol
 
 
+def signed_intersection_volumes(shape, windows):
+    """``(-1)^(|J|+1)`` times the intersection volume of each subset J of
+    ``windows``, indexed by bitmask; entry 0, the empty subset, is 0."""
+    m = len(windows)
+    signed = [0] * (1 << m)
+    for bits in range(1, 1 << m):
+        sub = [windows[j] for j in range(m) if bits >> j & 1]
+        sign = 1 if bits.bit_count() % 2 else -1
+        signed[bits] = sign * intersection_volume(shape, sub)
+    return signed
+
+
 def union_exponent_by_ie(shape, group):
     """Cells covered by the union of the windows, by inner inclusion-exclusion
     over the intersection volumes of every nonempty subgroup (cost 2^|group|)."""
-    m = len(group)
-    total = 0
-    for bits in range(1, 1 << m):
-        sub = [group[j] for j in range(m) if bits >> j & 1]
-        sign = 1 if bits.bit_count() % 2 else -1
-        total += sign * intersection_volume(shape, sub)
-    return total
+    return sum(signed_intersection_volumes(shape, group))
+
+
+def union_exponents_by_ie(shape, windows):
+    """:func:`union_exponent_by_ie` of every subset of ``windows``, indexed
+    by bitmask.  Each subset's intersection volume is computed once (2^m
+    calls); each mask then sums the signed volumes of its nonempty
+    submasks, walked by ``sub = (sub - 1) & bits`` (3^m additions)."""
+    signed = signed_intersection_volumes(shape, windows)
+    unions = [0] * len(signed)
+    for bits in range(1, len(signed)):
+        sub = bits
+        while sub:
+            unions[bits] += signed[sub]
+            sub = (sub - 1) & bits
+    return unions
 
 
 def union_exponent_by_cells(table, subset_mask):

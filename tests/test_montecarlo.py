@@ -3,6 +3,7 @@
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import relpoly.montecarlo
@@ -167,6 +168,59 @@ class TestReproducibility:
         est = estimate_failure_probability(SHAPE, 0.2, 10, 5)
         assert est.rng == "philox4x64"
         assert est.seed == 5
+
+
+class TestRawWordDraws:
+    # the float draw is kept here only as the reference the raw words match
+    QS = [
+        0.0, 5e-324, 2**-53, 3 * 2**-53, 0.38, float(np.nextafter(0.5, 0)),
+        0.5, 1 - 2**-53, 1.0,
+    ]
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize(
+        "seed,batch_index", [(0, 0), (7, 3), (123, 1), (2**40 + 9, 17)]
+    )
+    def test_mask_is_the_float_draw(self, q, seed, batch_index):
+        bits = relpoly.montecarlo._batch_bits(seed, batch_index)
+        reference = np.random.Generator(
+            relpoly.montecarlo._batch_bits(seed, batch_index)
+        )
+        # chunks continue one stream, as _count_batch draws them
+        for cells in [(113, 48), (1, 48), (40, 48)]:
+            got = relpoly.montecarlo._draw_cells(bits, q, cells)
+            assert got.dtype == bool and got.shape == cells
+            assert np.array_equal(got, reference.random(cells) < q)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_threshold_at_the_word_boundaries(self, q):
+        # words on both sides of the float boundary k * 2^-53 < q, with the
+        # 11 low bits that random() discards both clear and set
+        k = int(q * 2**53)
+        ks = {0, 2**53 - 1} | {
+            max(0, min(2**53 - 1, k + d)) for d in (-2, -1, 0, 1, 2)
+        }
+        words = np.array(
+            [kk << 11 | low for kk in sorted(ks) for low in (0, 1, 2047)],
+            dtype=np.uint64,
+        )
+
+        class Words:
+            def random_raw(self, cells):
+                return words.reshape(cells)
+
+        got = relpoly.montecarlo._draw_cells(Words(), q, (1, len(words)))
+        want = (words >> np.uint64(11)).astype(float) * 2.0**-53 < q
+        assert np.array_equal(got[0], want)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-300, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 99])
+    def test_counts_are_the_float_draw_counts(self, q, seed):
+        shape = validate_shape([6, 7], [2, 2])
+        count = relpoly.montecarlo._count_batch(shape, q, seed, 2, 500, 64)
+        gen = np.random.Generator(relpoly.montecarlo._batch_bits(seed, 2))
+        mask = gen.random((500, shape.volume)) < q
+        assert count == int(relpoly.detect_failures(shape, mask).sum())
 
 
 class TestIntervals:

@@ -2,6 +2,7 @@
 and the independent 1-D recursion."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ def rows(shape, bit_patterns):
     return np.array(
         [[bits >> i & 1 for i in range(shape.volume)] for bits in bit_patterns],
         dtype=bool,
-    )
+    ).reshape(len(bit_patterns), shape.volume)
 
 
 class TestDetection:
@@ -133,6 +134,83 @@ class TestDetection:
         shape = validate_shape([3, 4], [2, 2])
         got = detect_failures(shape, np.zeros((0, shape.volume), dtype=dtype))
         assert got.shape == (0,) and got.dtype == bool
+
+
+def biased_patterns(shape, count, seed):
+    """``count`` bit patterns with each cell 1 with probability 3/4."""
+    rng = random.Random(seed)
+    return [
+        rng.getrandbits(shape.volume) | rng.getrandbits(shape.volume)
+        for _ in range(count)
+    ]
+
+
+class TestDetectorContract:
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_never_writes_its_input(self, dtype, layout):
+        shape = validate_shape([4, 5], [2, 3])
+        bit_patterns = biased_patterns(shape, 120, 5)
+        batch = rows(shape, bit_patterns).astype(dtype)
+        if layout == "C":
+            base = patterns = np.ascontiguousarray(batch)
+        elif layout == "F":
+            base = patterns = np.asfortranarray(batch)
+        else:
+            # every other row of a wider array, one column in two
+            base = np.zeros((240, 2 * shape.volume), dtype=dtype)
+            base[::2, 1::2] = batch
+            patterns = base[::2, 1::2]
+        before = base.copy()
+        got = detect_failures(shape, patterns)
+        assert np.array_equal(base, before)
+        expected = [naive_window_scan(shape, bits) for bits in bit_patterns]
+        assert got.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize(
+        "n,s",
+        [
+            # s_r = n_r on some axis
+            ([5], [5]),
+            ([3, 4], [3, 2]),
+            ([4, 3], [2, 3]),
+            ([2, 3, 4], [1, 3, 2]),
+            ([3, 2, 2], [3, 2, 2]),
+            # s_r = 1 on every axis
+            ([6], [1]),
+            ([3, 4], [1, 1]),
+            ([2, 3, 2], [1, 1, 1]),
+            # general 1-D, 2-D and 3-D shapes
+            ([11], [4]),
+            ([4, 5], [3, 2]),
+            ([3, 3, 4], [2, 2, 3]),
+        ],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_agrees_with_naive_scan(self, n, s, count):
+        shape = validate_shape(n, s)
+        bit_patterns = biased_patterns(shape, count, shape.volume)
+        got = detect_failures(shape, rows(shape, bit_patterns))
+        assert got.shape == (count,) and got.dtype == bool
+        expected = [naive_window_scan(shape, bits) for bits in bit_patterns]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n,s", [([3, 6], [2, 2]), ([2, 3, 3], [2, 2, 2]), ([18], [5])]
+    )
+    def test_peak_is_one_bool_copy(self, n, s):
+        # the erosion runs in place on one copy; the corners are not copied
+        shape = validate_shape(n, s)
+        patterns = np.random.default_rng(3).random((1 << 16, 18)) < 0.6
+        tracemalloc.start()
+        try:
+            got = detect_failures(shape, patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < got.sum() < len(got)
+        assert peak <= patterns.nbytes + 2 * len(patterns)
 
 
 class TestBruteForceTally:
