@@ -28,7 +28,9 @@ cross-section cell and a weight axis that grows by one per scanned cell,
 so each cell costs a few whole-array slice operations over all
 ``(s_a + 1)^(N / n_a)`` states, and the scan about N * states * N.  The
 failed tally is ``C(N, k)`` minus the survivors, and the polynomial
-follows from it as in the oracle.
+follows from it as in the oracle.  A failed count needs no weight axis:
+the same scan with one count per state gives ``2^N`` less the surviving
+mass.
 
 :func:`failure_polynomial`, :func:`failed_count` and :func:`count_sequence`
 take whichever route :func:`choose_route` predicts to be faster among those
@@ -52,7 +54,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -77,7 +78,6 @@ __all__ = [
     "count_sequence",
     "enumerate_elementary_failures",
     "failed_count",
-    "failed_count_from_polynomial",
     "failure_polynomial",
     "inclusion_exclusion_polynomial",
     "reliability_polynomial",
@@ -522,26 +522,28 @@ def inclusion_exclusion_polynomial(
 # -- transfer matrix: the layer scan ------------------------------------------
 
 
-def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
-    """Surviving configurations by weight, after each layer along ``axis``.
+def _survivor_layers(
+    shape: SystemShape, axis: int, *, weights: bool = True
+) -> Iterator[np.ndarray]:
+    """Surviving configurations after each layer along ``axis``.
 
     Cells are scanned one at a time, layer by layer along ``axis`` and
     row-major within the cross-section.  The state is one array with a
     digit axis of length ``s_a + 1`` per cross-section cell, then a weight
     axis: entry ``[d_1, ..., d_cells, w]`` counts the configurations of
     weight ``w`` in which cell ``i``'s run of failed cells along ``axis``,
-    ending at the current layer, is ``d_i`` capped at ``s_a``.  The weight
-    axis grows by one per cell.  A worked cell sums its digit axis into
-    digit 0; a failed cell moves its digit up one, holding the cap, and its
-    weight up one.  A failed cell completes a window exactly when it is the
-    maximal corner of an ``s``-box of the cross-section whose digits are all
-    at the cap; the other cells of that box come earlier in the layer, so
-    their digits are already updated, and zeroing that one slice drops the
-    failing configurations.
+    ending at the current layer, is ``d_i`` capped at ``s_a``.  A worked
+    cell sums its digit axis into digit 0; a failed cell moves its digit up
+    one, holding the cap, and its weight up one.  A failed cell completes a
+    window exactly when it is the maximal corner of an ``s``-box of the
+    cross-section whose digits are all at the cap; the other cells of that
+    box come earlier in the layer, so their digits are already updated,
+    and zeroing that one slice drops the failing configurations.
 
-    Layer ``t`` yields the state; :func:`_survivors` sums it into the
-    survivors by weight among the first ``t`` layers, w = 0 .. t * cells.
-    Counts are int64 while ``2^N`` fits, Python ints otherwise.
+    The weight axis grows by one per cell; without ``weights`` it keeps
+    length 1, as if every weight were 0, which is all a count needs.
+    Layer ``t`` yields the state of the first ``t`` layers.  Counts are
+    int64 while ``2^N`` fits, Python ints otherwise.
     """
     cross_n = [shape.n[r] for r in range(shape.d) if r != axis]
     cross_s = [shape.s[r] for r in range(shape.d) if r != axis]
@@ -562,27 +564,35 @@ def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
         else:
             boxes.append(None)
 
+    grow = int(weights)  # how far a failed cell moves the weight
     state = np.zeros((cap + 1,) * cells + (1,), dtype=dtype)
     state[(0,) * (cells + 1)] = 1
     for _ in range(shape.n[axis]):
         for i, box in enumerate(boxes):
             lead = (slice(None),) * i
             width = state.shape[-1]
-            grown = np.zeros(state.shape[:-1] + (width + 1,), dtype=dtype)
+            grown = np.zeros(state.shape[:-1] + (width + grow,), dtype=dtype)
             np.sum(state, axis=i, out=grown[lead + (0, ..., slice(None, width))])
-            grown[lead + (slice(1, None), ..., slice(1, None))] = state[
+            grown[lead + (slice(1, None), ..., slice(grow, None))] = state[
                 lead + (slice(None, cap),)
             ]
-            grown[lead + (cap, ..., slice(1, None))] += state[lead + (cap,)]
+            grown[lead + (cap, ..., slice(grow, None))] += state[lead + (cap,)]
             if box is not None:
                 grown[box] = 0
             state = grown
         yield state
 
 
-def _survivors(state: np.ndarray) -> np.ndarray:
-    """Survivors by weight: a scan state summed over its digit axes."""
-    return state.sum(axis=tuple(range(state.ndim - 1)))
+def _failed_layers(shape: SystemShape, axis: int, start: int) -> list[int]:
+    """Failed configurations of the first ``t`` layers along ``axis``, for
+    t = ``start`` .. ``n_a``: ``2^(t * cells)`` less each layer's surviving
+    mass, from one scan without the weight axis."""
+    cells = shape.volume // shape.n[axis]
+    layers = _survivor_layers(shape, axis, weights=False)
+    return [
+        (1 << (t * cells)) - int(state.sum())
+        for t, state in enumerate(itertools.islice(layers, start - 1, None), start)
+    ]
 
 
 def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
@@ -600,7 +610,7 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
     _within_budget(f"instance {shape}", [cost])
     for state in _survivor_layers(shape, cost.axis):
         pass  # only the last layer is read
-    survivors = _survivors(state)
+    survivors = state.sum(axis=tuple(range(state.ndim - 1)))
     return WeightTally(
         shape,
         tuple(math.comb(volume, w) - int(g) for w, g in enumerate(survivors)),
@@ -631,30 +641,17 @@ def reliability_polynomial(
     return 1 - failure_polynomial(shape, config=config)
 
 
-def failed_count_from_polynomial(shape: SystemShape, poly: IntPolynomial) -> int:
-    """Failed configurations among all 2^N, from the failure polynomial.
-
-    At q = 1/2 every configuration is equally likely, so the count is
-    ``2^N * P(1/2)``, evaluated exactly in rational arithmetic.
-    """
-    value = poly.eval_rational(Fraction(1, 2)) * (1 << shape.volume)
-    if value.denominator != 1:
-        raise AssertionError(
-            f"2^N * P(1/2) = {value} is not an integer; engine bug"
-        )
-    return int(value)
-
-
 def failed_count(shape: SystemShape, *, config: EngineConfig | None = None) -> int:
     """Number of failed configurations among all 2^N binary arrays.
 
-    The transfer matrix yields it as the sum of its tally; on the
-    inclusion-exclusion route it is ``2^N * P(1/2)``.
+    That is ``2^N * P(1/2)``: the sum of ``c * 2^(N - e)`` over the terms
+    ``c q^e`` of the polynomial, or ``2^N`` less the scan's surviving mass.
     """
-    if choose_route(shape, config=config).route == TRANSFER_MATRIX:
-        return transfer_matrix_tally(shape).total
+    route = choose_route(shape, config=config)
+    if route.route == TRANSFER_MATRIX:
+        return _failed_layers(shape, route.axis, shape.n[route.axis])[0]
     poly = inclusion_exclusion_polynomial(shape, config=config)
-    return failed_count_from_polynomial(shape, poly)
+    return sum(c << (shape.volume - e) for e, c in poly.terms())
 
 
 def count_sequence(
@@ -670,8 +667,8 @@ def count_sequence(
     Axis ``axis`` (0-based) of ``n`` runs from its given value up to
     ``stop`` inclusive; all other extents stay fixed.  When the transfer
     matrix is the route for the final extent and scans along ``axis``, one
-    scan yields every count, one per completed layer; otherwise each
-    extent is counted on its own.
+    scan without the weight axis yields every count, one per completed
+    layer; otherwise each extent is counted on its own.
     """
     n = list(n)
     if not 0 <= axis < len(n):
@@ -683,12 +680,7 @@ def count_sequence(
     final = validate_shape(n, s)
     route = choose_route(final, config=config)
     if route.route == TRANSFER_MATRIX and route.axis == axis:
-        cells = final.volume // stop
-        layers = [_survivors(state) for state in _survivor_layers(final, axis)]
-        return [
-            (1 << (t * cells)) - sum(int(g) for g in layers[t - 1])
-            for t in range(start, stop + 1)
-        ]
+        return _failed_layers(final, axis, start)
     out = []
     for v in range(start, stop + 1):
         n[axis] = v

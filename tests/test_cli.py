@@ -1,10 +1,15 @@
 """CLI surface: golden outputs, formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import relpoly
 from relpoly import IntPolynomial, polynomial_from_json
 from relpoly.cli import format_poly_text, main
 
@@ -13,6 +18,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def script(*argv, **kwargs):
+    """The CLI in a fresh interpreter, as the console script runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relpoly.__file__).parents[1]))
+    command = [sys.executable, "-m", "relpoly.cli", *argv]
+    return subprocess.Popen(command, env=env, text=True, **kwargs)
 
 
 class TestFormatPolyText:
@@ -186,6 +198,36 @@ class TestCurve:
                            "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("q,R\n")
+
+    def test_unwritable_out_exits_2_before_computing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import relpoly.cli as cli_module
+
+        monkeypatch.setattr(
+            cli_module, "reliability_polynomial", lambda shape: pytest.fail("computed")
+        )
+        code, out, err = run(capsys, "curve", "--n", "3", "--s", "2", "--steps", "2",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_without_a_traceback(self, tmp_path, target):
+        with script("curve", "--n", "3", "--s", "2", "--steps", "2",
+                    "--out", str(tmp_path / target), stderr=subprocess.PIPE) as proc:
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_closed_pipe_without_a_traceback(self):
+        # 20001 rows overflow the pipe, so the writes after the reader
+        # closes it fail, as under ``| head -1``
+        with script("curve", "--n", "3,4", "--s", "2,2", "--steps", "20000",
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == "q,R\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1 and err == ""  # no traceback, no message
 
     def test_json_points(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "2", "--s", "1", "--steps", "2",

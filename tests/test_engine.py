@@ -38,9 +38,7 @@ from relpoly.engine import (
     INCLUSION_EXCLUSION,
     TRANSFER_MATRIX,
     _survivor_layers,
-    _survivors,
     choose_route,
-    failed_count_from_polynomial,
     inclusion_exclusion_polynomial,
     ordered_map,
     transfer_matrix_tally,
@@ -396,7 +394,7 @@ class TestCounts:
             shape = validate_shape(final, s)
             if shape.num_windows <= 20:
                 poly = inclusion_exclusion_polynomial(shape)
-                expected.append(failed_count_from_polynomial(shape, poly))
+                expected.append(poly.eval_rational(Fraction(1, 2)) * 2**shape.volume)
             else:
                 expected.append(transfer_matrix_tally(shape).total)
         assert count_sequence(n, s, axis, stop) == expected
@@ -435,7 +433,7 @@ class TestTransferMatrix:
         tally = transfer_matrix_tally(shape)
         poly = inclusion_exclusion_polynomial(shape)
         assert tally_to_polynomial(tally) == poly
-        assert tally.total == failed_count_from_polynomial(shape, poly)
+        assert tally.total == poly.eval_rational(Fraction(1, 2)) * 2**shape.volume
 
     @pytest.mark.parametrize(
         "n,s",
@@ -450,6 +448,7 @@ class TestTransferMatrix:
         expected = brute_force_tally(shape).f
         for axis in range(shape.d):
             assert self._scan_tally(shape, axis) == expected, axis
+            assert self._scan_count(shape, axis) == sum(expected), axis
 
     @pytest.mark.parametrize("n", [[4, 4], [3, 5]])
     def test_every_scan_axis_series_closed_form(self, n):
@@ -459,14 +458,23 @@ class TestTransferMatrix:
         expected = tuple(math.comb(volume, k) if k else 0 for k in range(volume + 1))
         for axis in range(shape.d):
             assert self._scan_tally(shape, axis) == expected
+            assert self._scan_count(shape, axis) == sum(expected)
 
     @staticmethod
     def _scan_tally(shape, axis):
         *_, state = _survivor_layers(shape, axis)
+        survivors = state.sum(axis=tuple(range(state.ndim - 1)))
         return tuple(
             math.comb(shape.volume, w) - int(g)
-            for w, g in enumerate(_survivors(state))
+            for w, g in enumerate(survivors)
         )
+
+    @staticmethod
+    def _scan_count(shape, axis):
+        # the count payload: one surviving count per state, no weight axis
+        *_, state = _survivor_layers(shape, axis, weights=False)
+        assert state.shape[-1] == 1
+        return 2**shape.volume - int(state.sum())
 
     def test_nonfailable(self):
         shape = validate_shape([3, 2], [2, 3])
@@ -544,6 +552,17 @@ class TestRefusesBeforeAllocating:
         shape = validate_shape([12, 12], [3, 3])
         peak = self._peak_bytes_while_refused(lambda: transfer_matrix_tally(shape))
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "count",
+        [lambda: failed_count(validate_shape([12, 12], [3, 3])),
+         lambda: count_sequence([12, 1], [3, 3], 1, 12)],
+        ids=["failed_count", "count_sequence"],
+    )
+    def test_counts(self, count):
+        # neither route fits [12,12]x[3,3]; the counts refuse as the
+        # polynomial does
+        assert self._peak_bytes_while_refused(count) < 1 << 20
 
     def test_transfer_matrix_without_a_memory_report(self, monkeypatch):
         # with no physical memory to budget against, the state tensor must
