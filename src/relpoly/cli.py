@@ -21,6 +21,8 @@ from fractions import Fraction
 
 from . import __version__
 from .engine import (
+    RouteCost,
+    choose_route,
     count_sequence,
     failed_count,
     failure_polynomial,
@@ -84,8 +86,15 @@ def _shape_from_args(args) -> SystemShape:
     return validate_shape(_parse_extents(args.n), _parse_extents(args.s))
 
 
-def _envelope(command: str, shape: SystemShape, mode: str, result, started: float) -> dict:
-    return {
+def _envelope(
+    command: str,
+    shape: SystemShape,
+    mode: str,
+    result,
+    started: float,
+    route: RouteCost | None = None,
+) -> dict:
+    env = {
         "tool": "relpoly",
         "version": __version__,
         "command": command,
@@ -95,6 +104,14 @@ def _envelope(command: str, shape: SystemShape, mode: str, result, started: floa
         "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
         "result": result,
     }
+    if route is not None:
+        env["route"] = {
+            "name": route.route,
+            "axis": None if route.axis is None else route.axis + 1,
+            "seconds": route.seconds,
+            "bytes": route.nbytes,
+        }
+    return env
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -114,7 +131,8 @@ def cmd_poly(args) -> int:
         else reliability_polynomial(shape)
     )
     if args.format == "json":
-        env = _envelope("poly", shape, "exact", polynomial_to_json(shape, poly), started)
+        result = polynomial_to_json(shape, poly)
+        env = _envelope("poly", shape, "exact", result, started, choose_route(shape))
         print(json.dumps(env))
     else:
         print(format_poly_text(poly))
@@ -138,7 +156,8 @@ def cmd_eval(args) -> int:
         rendered = value
     if args.format == "json":
         result = {"q": str(q) if args.exact else float(q), "value": rendered}
-        print(json.dumps(_envelope("eval", shape, "exact", result, started)))
+        env = _envelope("eval", shape, "exact", result, started, choose_route(shape))
+        print(json.dumps(env))
     else:
         print(rendered)
     return EXIT_OK
@@ -160,7 +179,9 @@ def cmd_count(args) -> int:
         rendered = str(count)
         result = str(count)
     if args.format == "json":
-        print(json.dumps(_envelope("count", shape, "exact", result, started)))
+        route = None if args.vary is not None else choose_route(shape)
+        env = _envelope("count", shape, "exact", result, started, route)
+        print(json.dumps(env))
     else:
         print(rendered)
     return EXIT_OK
@@ -197,19 +218,28 @@ def cmd_curve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    started = time.perf_counter()
     shape = _shape_from_args(args)
     tally = brute_force_tally(shape)
     poly = tally_to_polynomial(tally)
-    print(f"a={tally.total}")
-    print(f"f={list(tally.f)}")
-    print(f"P = {format_poly_text(poly)}")
+    check = None
     if args.check:
-        if failure_polynomial(shape) == poly:
-            print("MATCH")
-        else:
-            print("MISMATCH")
-            return EXIT_MISMATCH
-    return EXIT_OK
+        check = "MATCH" if failure_polynomial(shape) == poly else "MISMATCH"
+    if args.format == "json":
+        result = {
+            "a": tally.total,
+            "f": list(tally.f),
+            "poly": polynomial_to_json(shape, poly)["poly"],
+            "check": check,
+        }
+        print(json.dumps(_envelope("oracle", shape, "exact", result, started)))
+    else:
+        print(f"a={tally.total}")
+        print(f"f={list(tally.f)}")
+        print(f"P = {format_poly_text(poly)}")
+        if check:
+            print(check)
+    return EXIT_MISMATCH if check == "MISMATCH" else EXIT_OK
 
 
 def cmd_mc(args) -> int:
@@ -290,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check", action="store_true", help="compare against the exact engine"
     )
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("mc", parents=[shape_flags], help="Monte Carlo estimate")

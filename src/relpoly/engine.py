@@ -1,4 +1,4 @@
-"""Exact failure/reliability polynomials, by two routes picked by cost.
+"""Exact failure/reliability polynomials, by routes picked by cost.
 
 **Inclusion-exclusion.**  An *elementary failure* is a placement of the
 ``s_1 x ... x s_d`` window inside the array, identified by the 1-based
@@ -9,14 +9,23 @@ nonempty subsets J of E:
     P(q) = sum over J of (-1)^(|J|+1) * q^k(J)
 
 where ``k(J)`` counts the cells in the union of the windows of J.  The sum
-has ``2^|E| - 1`` terms, so the per-term exponent must be cheap.  Every
-lattice cell knows the bitmask of windows covering it (the cell-mask
-table), so ``k(J)`` is the number of cells whose mask intersects J.
-:func:`inclusion_exclusion_polynomial` computes every exponent at once: one
-subset-sum (zeta) transform over the cell masks, O(2^|E| * |E|), turns each
-``k(J)`` into a table entry.  The table is processed in fixed blocks that
-stay in cache: each block finishes its low zeta passes on uint64 words of
-several table entries, then is histogrammed by exponent and sign at once.
+is evaluated in one of two forms:
+
+- the whole-set sweep, :func:`inclusion_exclusion_polynomial`, visits all
+  ``2^|E| - 1`` terms.  Every lattice cell knows the bitmask of windows
+  covering it (the cell-mask table), so ``k(J)`` is the number of cells
+  whose mask intersects J, and one subset-sum (zeta) transform over the
+  cell masks, O(2^|E| * |E|), turns each ``k(J)`` into a table entry.  The
+  table is processed in fixed blocks that stay in cache: each block
+  finishes its low zeta passes on uint64 words of several table entries,
+  then is histogrammed by exponent and sign at once;
+- the window-layer scan, :func:`_window_layer_polynomial`, walks the cell
+  layers along an axis ``a``.  A cell layer is covered only by the windows
+  of the ``s_a`` window layers that end at it, so ``k(J)`` is a sum of one
+  term per cell layer, and the sum over J runs as a scan whose state holds
+  the footprints chosen in the last ``s_a - 1`` window layers.  Its cost
+  grows with the footprints of one window layer to the power ``s_a``, not
+  with ``2^|E|``.
 
 **Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
 configurations by weight in one scan along an axis ``a`` (finite Markov
@@ -33,12 +42,13 @@ the same scan with one count per state gives ``2^N`` less the surviving
 mass.
 
 :func:`failure_polynomial`, :func:`failed_count` and :func:`count_sequence`
-take whichever route :func:`choose_route` predicts to be faster among those
-whose predicted peak memory fits in half the machine's physical memory.
-Memory is the only bound on either route: inclusion-exclusion has no cap
-on |E| of its own.  Each route refuses with
+take whichever of the three (the sweep, the window-layer scan along its
+best axis, the transfer matrix) :func:`choose_route` predicts to be
+fastest among those whose predicted peak memory fits in half the
+machine's physical memory.  Memory is the only bound on any of them:
+inclusion-exclusion has no cap on |E| of its own.  Each refuses with
 :class:`~relpoly.model.ResourceLimitError` before it allocates, and so does
-the choice when neither route fits.
+the choice when none fits.
 
 The worker rule lives here as well: :func:`resolve_workers` reads
 ``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs in job order on a
@@ -54,9 +64,11 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     IntPolynomial,
@@ -125,7 +137,7 @@ _LOW_LANES = {
 # measured with tracemalloc on the largest int64 scans), plus slack.
 _SCAN_LIVE_MATRICES = 3
 
-# The cost model of the two routes, in seconds.  Inclusion-exclusion costs
+# The cost model of the sweep and the scan, in seconds.  The sweep costs
 # a fixed per-call overhead (cell-mask table, numpy calls) plus 2^|E| * |E|
 # steps (the zeta passes over the blocked table, then one histogram).  The
 # transfer matrix costs, per scanned cell, a fixed numpy overhead plus one
@@ -151,6 +163,27 @@ _SCAN_SECONDS_PER_CELL = 1.65e-5
 _SCAN_SECONDS_PER_INT64_ENTRY = 2.2e-9
 _SCAN_SECONDS_PER_OBJECT_ENTRY = 2.5e-8
 _SCAN_SECONDS_PER_REBUILD_STEP = 2.2e-7
+
+# The window-layer scan costs a fixed per-call overhead, a numpy overhead
+# per cell layer, and one step per coefficient its rows copy and gather:
+# call + n_a * (layer + rows * width * entry), with the rows of one layer
+# (see _window_layer_cost) and their mean width.  Fitted at one worker on
+# the same host, in relative error, to the medians of 53 shape-axis pairs
+# on int64 with |E| = 8-58 (the support cached, as after a first call):
+# 0.12 ms per call, 25 us per layer and 1.1 ns per coefficient, each pair
+# within 0.51-1.32x of its median; on Python ints, 27 ns per coefficient,
+# 8 pairs with |E| = 69-196 within 0.87-1.38x.  The support of a window
+# layer is counted exactly up to 2^_LAYER_SUPPORT_MAX_WINDOWS subsets
+# (about 0.1 ms, once per cross-section), and bounded by 2^W beyond.
+# Counting it peaks at 57-60 bytes per subset (tracemalloc), the start
+# table at 24 per joint state.
+_LAYER_SUPPORT_MAX_WINDOWS = 12
+_LAYER_SUPPORT_BYTES_PER_SUBSET = 64
+_LAYER_BYTES_PER_JOINT_STATE = 24
+_LAYER_SECONDS_PER_CALL = 1.2e-4
+_LAYER_SECONDS_PER_LAYER = 2.5e-5
+_LAYER_SECONDS_PER_INT64_ENTRY = 1.1e-9
+_LAYER_SECONDS_PER_OBJECT_ENTRY = 2.7e-8
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -278,7 +311,9 @@ class RouteCost(NamedTuple):
 
     ``seconds`` and ``nbytes`` (peak memory) come from the calibrated cost
     model; the route can run when ``nbytes`` fits :func:`memory_budget`.
-    ``axis`` is the transfer matrix's scan axis.
+    ``axis`` (0-based) is the axis a scan walks: the transfer matrix's, or
+    the window-layer form of inclusion-exclusion's.  It is None for the
+    inclusion-exclusion sweep over all window subsets.
     """
 
     route: str
@@ -287,7 +322,11 @@ class RouteCost(NamedTuple):
     axis: int | None = None
 
     def describe(self) -> str:
-        return f"{self.route} predicts {self.seconds:.3g} s and {self.nbytes:.3g} bytes"
+        where = "" if self.axis is None else f" along axis {self.axis + 1}"
+        return (
+            f"{self.route}{where} predicts {self.seconds:.3g} s and "
+            f"{self.nbytes:.3g} bytes"
+        )
 
 
 def memory_budget() -> float:
@@ -349,13 +388,16 @@ def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> Route
     return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes)
 
 
-def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
+def _transfer_matrix_cost(shape: SystemShape, axis: int | None = None) -> RouteCost:
+    """The scan's cost along ``axis``; by default along the axis with the
+    fewest states."""
     n, s, volume = shape.n, shape.s, shape.volume
 
     def log2_states(r: int) -> float:
         return volume // n[r] * math.log2(s[r] + 1)
 
-    axis = min(range(shape.d), key=log2_states)
+    if axis is None:
+        axis = min(range(shape.d), key=log2_states)
     states = _pow2(log2_states(axis))
     if volume < 63:  # every count is at most 2^N
         entry_bytes, entry_seconds = 8, _SCAN_SECONDS_PER_INT64_ENTRY
@@ -371,17 +413,64 @@ def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
     return RouteCost(TRANSFER_MATRIX, seconds, nbytes, axis)
 
 
+def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
+    """The window-layer scan's cost along ``axis`` of a failable shape.
+
+    With ``u`` footprints in the support, the scan holds ``u^(s_a - 1)``
+    states and, at each of the ``n_a`` cell layers, copies every state's
+    ``cells + 1`` shifts and gathers ``u^s_a`` rows, which widen by one
+    cross-section per layer up to ``N + 1`` exponents.  ``u`` is counted
+    where a window layer has at most ``2^_LAYER_SUPPORT_MAX_WINDOWS``
+    subsets, and bounded by ``2^W`` beyond.  Footprints are 64-bit masks,
+    so a cross-section of more than 64 cells costs infinity.
+    """
+    n_a, s_a, volume = shape.n[axis], shape.s[axis], shape.volume
+    cells = volume // n_a
+    if cells > 64:
+        return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis)
+    per_layer = shape.num_windows // (n_a - s_a + 1)
+    if per_layer <= _LAYER_SUPPORT_MAX_WINDOWS:
+        log2_u = math.log2(len(_layer_support(*_cross_section(shape, axis))[0]))
+    else:
+        log2_u = per_layer
+    states = _pow2((s_a - 1) * log2_u)
+    joint = _pow2(s_a * log2_u)
+    if shape.num_windows < 62:  # see _window_layer_polynomial
+        entry_bytes, entry_seconds = 8, _LAYER_SECONDS_PER_INT64_ENTRY
+    else:
+        entry_bytes = 8 + sys.getsizeof(1 << shape.num_windows)
+        entry_seconds = _LAYER_SECONDS_PER_OBJECT_ENTRY
+    rows = joint + states * (cells + 1)  # gathered rows and shift copies
+    nbytes = (
+        (rows + 2 * states) * (volume + 1 + cells) * entry_bytes
+        + _LAYER_BYTES_PER_JOINT_STATE * joint  # the start table
+        + _LAYER_SUPPORT_BYTES_PER_SUBSET * _pow2(per_layer)
+    )
+    seconds = (
+        _LAYER_SECONDS_PER_CALL
+        + n_a * _LAYER_SECONDS_PER_LAYER
+        + n_a * rows * ((volume + cells) / 2 + 1) * entry_seconds
+    )
+    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, axis)
+
+
 def choose_route(
     shape: SystemShape, *, config: EngineConfig | None = None
 ) -> RouteCost:
     """The exact route :func:`failure_polynomial` takes for ``shape``.
 
-    Among the routes that can run, the one with the lower predicted time.
-    Raises :class:`~relpoly.model.ResourceLimitError` with both routes'
-    predicted time and bytes when neither can.
+    The candidates are the inclusion-exclusion sweep, the transfer matrix
+    along its axis of fewest states and, for failable shapes, the
+    window-layer form of inclusion-exclusion along its fastest axis.  Among
+    those that can run, the one with the lowest predicted time.  Raises
+    :class:`~relpoly.model.ResourceLimitError` with every candidate's
+    predicted time and bytes when none can.
     """
     config = config or _DEFAULT_CONFIG
     costs = [_inclusion_exclusion_cost(shape, config), _transfer_matrix_cost(shape)]
+    if shape.failable:
+        layered = (_window_layer_cost(shape, a) for a in range(shape.d))
+        costs.append(min(layered, key=lambda c: c.seconds))
     fitting = _within_budget(f"no exact route fits {shape}", costs)
     return min(fitting, key=lambda c: c.seconds)
 
@@ -519,6 +608,136 @@ def inclusion_exclusion_polynomial(
     )
 
 
+# -- inclusion-exclusion: the window-layer scan -------------------------------
+
+
+def _cross_section(shape: SystemShape, axis: int) -> tuple[tuple[int, ...], ...]:
+    """Array and window extents of the axes other than ``axis``."""
+    other = [r for r in range(shape.d) if r != axis]
+    return tuple(shape.n[r] for r in other), tuple(shape.s[r] for r in other)
+
+
+@lru_cache(maxsize=64)
+def _layer_support(
+    cross_n: tuple[int, ...], cross_s: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Footprints of one window layer's subsets, with their signed counts.
+
+    A window layer holds the windows at one offset along the scan axis;
+    each covers an ``s`` box of the cross-section.  The footprint of a
+    subset J of the layer is the bitmask of the cross-section cells its
+    windows cover (row-major, last axis fastest), and the signed count of a
+    footprint f is the sum of ``(-1)^|J|`` over the subsets with footprint
+    f.  Returns the footprints whose signed count is not zero, ascending,
+    and those counts; the first is the empty footprint, with count 1.  The
+    arrays are cached and read-only.
+    """
+    strides = [math.prod(cross_n[r + 1 :]) for r in range(len(cross_n))]
+
+    def bit(cell) -> int:
+        return 1 << sum(c * st for c, st in zip(cell, strides))
+
+    box = sum(map(bit, itertools.product(*map(range, cross_s))))
+    feet = np.zeros(1, np.uint64)
+    signs = np.ones(1, np.int64)
+    corners = itertools.product(
+        *[range(nr - sr + 1) for nr, sr in zip(cross_n, cross_s)]
+    )
+    for corner in corners:  # each window doubles the subsets so far
+        feet = np.concatenate([feet, feet | np.uint64(box * bit(corner))])
+        signs = np.concatenate([signs, -signs])
+    support, inverse = np.unique(feet, return_inverse=True)
+    # |count| <= 2^W, exact in np.bincount's float64 weights
+    counts = np.bincount(inverse, weights=signs).astype(np.int64)
+    keep = counts != 0
+    support, counts = support[keep], counts[keep]
+    support.flags.writeable = counts.flags.writeable = False
+    return support, counts
+
+
+def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
+    """Exact failure polynomial by inclusion-exclusion, window layer by
+    window layer along ``axis``.
+
+    Window layer j holds the windows at offset j along ``axis``, and they
+    cover cell layers j .. j + s_a - 1.  So the union volume of a window
+    set splits into one term per cell layer: the cross-section cells that
+    the footprints of its subsets of the ``s_a`` window layers ending there
+    cover together.  A subset enters ``R = sum of (-1)^|J| q^|union J|`` only
+    through its footprint and its sign, so the sum runs over footprints
+    weighted by their signed counts (:func:`_layer_support`).  The state
+    is one support index per window layer of the last ``s_a - 1``, with
+    the R polynomial summed so far for each tuple; a layer not yet reached
+    or past the last is the empty footprint, index 0.  At each cell layer
+    the scan picks the next window layer's footprint, shifts every state's
+    polynomial by the cells covered, weights it by the signed count and
+    sums out the oldest window layer.  The state starts as the empty tuple
+    of footprints with polynomial 1, and the last layer's states sum to R.
+
+    Every partial sum counts distinct window sets, so it stays within
+    ``2^|E|``: coefficients are int64 while ``|E| <= 61``, Python ints
+    beyond.  Returns the zero polynomial for non-failable shapes.  Raises
+    :class:`~relpoly.model.ResourceLimitError` before allocating when the
+    predicted rows would not fit in half the physical memory.
+    """
+    if not shape.failable:
+        return IntPolynomial.zero()
+    _within_budget(f"instance {shape}", [_window_layer_cost(shape, axis)])
+    cells = shape.volume // shape.n[axis]
+    held = shape.s[axis] - 1
+    window_layers = shape.n[axis] - held
+    support, counts = _layer_support(*_cross_section(shape, axis))
+    u = len(support)
+    dtype = np.int64 if shape.num_windows < 62 else object
+    # start[k_0, ..., k_held]: the cells of a cell layer that footprints
+    # k_0 .. k_held leave uncovered.  A row stored after ``cells`` zeros
+    # and read from there is shifted by the cells they cover.
+    union = np.zeros((1,) * (held + 1), np.uint64)
+    for i in range(held + 1):
+        union = union | support.reshape((1,) * i + (u,) + (1,) * (held - i))
+    start = cells - np.bitwise_count(union).astype(np.intp)
+    # one row per state, the polynomial at columns cells .. cells + width;
+    # the columns past it are still zero when the row widens
+    padded = np.zeros((u**held, shape.volume + 1 + cells), dtype)
+    padded[0, cells] = 1
+    shifted = sliding_window_view(padded, shape.volume + 1, axis=1)
+    # each layer copies every shift of every row once, contiguous, then
+    # gathers one shifted row per state and choice from the copy; both
+    # buffers are reused by every layer
+    copies = np.empty(u**held * (cells + 1) * (shape.volume + 1), dtype)
+    picked = np.empty(u ** (held + 1) * (shape.volume + 1), dtype)
+    first = np.arange(u**held)[:, None] * (cells + 1)
+    states, width = (1,) * held, 1
+    for t in range(shape.n[axis]):
+        new = u if t < window_layers else 1  # footprint 0 alone past the last
+        rows = math.prod(states)
+        starts = start[tuple(slice(k) for k in states) + (slice(new),)]
+        width += cells
+        shifts = copies[: rows * (cells + 1) * width].reshape(rows, cells + 1, width)
+        np.copyto(shifts, shifted[:rows, :, :width])
+        grown = picked[: rows * new * width].reshape(rows * new, width)
+        # the indices are in range; "clip" lets take write into ``out``
+        # without buffering the rows first
+        np.take(
+            shifts.reshape(-1, width),
+            (first[:rows] + starts.reshape(rows, new)).ravel(),
+            axis=0,
+            out=grown,
+            mode="clip",
+        )
+        if held:  # sum out the oldest window layer, then weight the newest
+            total = grown.reshape(states[0], -1, new, width).sum(axis=0)
+            total *= counts[:new, None]
+            states = states[1:] + (new,)
+        else:  # no layer is held: weight the choice and sum it out
+            total = counts[:new] @ grown
+        padded[: math.prod(states), cells : cells + width] = total.reshape(-1, width)
+    reliability = padded[: math.prod(states), cells:].sum(axis=0)
+    coeffs = (-reliability).tolist()
+    coeffs[0] += 1
+    return IntPolynomial(enumerate(coeffs))
+
+
 # -- transfer matrix: the layer scan ------------------------------------------
 
 
@@ -545,8 +764,7 @@ def _survivor_layers(
     Layer ``t`` yields the state of the first ``t`` layers.  Counts are
     int64 while ``2^N`` fits, Python ints otherwise.
     """
-    cross_n = [shape.n[r] for r in range(shape.d) if r != axis]
-    cross_s = [shape.s[r] for r in range(shape.d) if r != axis]
+    cross_n, cross_s = _cross_section(shape, axis)
     cap = shape.s[axis]
     cells = math.prod(cross_n)
     dtype = np.int64 if shape.volume < 63 else object
@@ -620,18 +838,37 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
 # -- the public entry points --------------------------------------------------
 
 
+def _failure_polynomial(
+    shape: SystemShape, route: RouteCost, config: EngineConfig | None
+) -> IntPolynomial:
+    """The failure polynomial by ``route``, as :func:`choose_route` gave it."""
+    if route.route == TRANSFER_MATRIX:
+        return tally_to_polynomial(transfer_matrix_tally(shape))
+    if route.axis is not None:
+        return _window_layer_polynomial(shape, route.axis)
+    return inclusion_exclusion_polynomial(shape, config=config)
+
+
+def _failed_count(
+    shape: SystemShape, route: RouteCost, config: EngineConfig | None
+) -> int:
+    """The failed count by ``route``, as :func:`choose_route` gave it."""
+    if route.route == TRANSFER_MATRIX:
+        return _failed_layers(shape, route.axis, shape.n[route.axis])[0]
+    poly = _failure_polynomial(shape, route, config)
+    return sum(c << (shape.volume - e) for e, c in poly.terms())
+
+
 def failure_polynomial(
     shape: SystemShape, *, config: EngineConfig | None = None
 ) -> IntPolynomial:
     """Exact failure probability P as a polynomial in q.
 
-    Takes the route :func:`choose_route` picks; both give the same
+    Takes the route :func:`choose_route` picks; every route gives the same
     polynomial.  Returns the zero polynomial for non-failable shapes.
     Raises :class:`~relpoly.model.ResourceLimitError` when no route fits.
     """
-    if choose_route(shape, config=config).route == TRANSFER_MATRIX:
-        return tally_to_polynomial(transfer_matrix_tally(shape))
-    return inclusion_exclusion_polynomial(shape, config=config)
+    return _failure_polynomial(shape, choose_route(shape, config=config), config)
 
 
 def reliability_polynomial(
@@ -647,11 +884,7 @@ def failed_count(shape: SystemShape, *, config: EngineConfig | None = None) -> i
     That is ``2^N * P(1/2)``: the sum of ``c * 2^(N - e)`` over the terms
     ``c q^e`` of the polynomial, or ``2^N`` less the scan's surviving mass.
     """
-    route = choose_route(shape, config=config)
-    if route.route == TRANSFER_MATRIX:
-        return _failed_layers(shape, route.axis, shape.n[route.axis])[0]
-    poly = inclusion_exclusion_polynomial(shape, config=config)
-    return sum(c << (shape.volume - e) for e, c in poly.terms())
+    return _failed_count(shape, choose_route(shape, config=config), config)
 
 
 def count_sequence(
@@ -665,10 +898,14 @@ def count_sequence(
     """Failed-configuration counts as one array extent grows.
 
     Axis ``axis`` (0-based) of ``n`` runs from its given value up to
-    ``stop`` inclusive; all other extents stay fixed.  When the transfer
-    matrix is the route for the final extent and scans along ``axis``, one
-    scan without the weight axis yields every count, one per completed
-    layer; otherwise each extent is counted on its own.
+    ``stop`` inclusive; all other extents stay fixed.  One transfer-matrix
+    scan of the final extent along ``axis``, without the weight axis,
+    yields every count, one per completed layer.  It is taken when it fits
+    and its predicted time is at most the sum of the extents' own routes
+    (both priced as polynomials, so a count refuses wherever the
+    polynomial does); otherwise each extent is counted by its route.  The
+    extents are priced from the largest down, and only until their sum
+    reaches the scan's.
     """
     n = list(n)
     if not 0 <= axis < len(n):
@@ -678,11 +915,17 @@ def count_sequence(
         raise ValueError(f"stop {stop} is below the starting extent {start}")
     n[axis] = stop
     final = validate_shape(n, s)
-    route = choose_route(final, config=config)
-    if route.route == TRANSFER_MATRIX and route.axis == axis:
-        return _failed_layers(final, axis, start)
-    out = []
-    for v in range(start, stop + 1):
+    scan = _transfer_matrix_cost(final, axis)
+    scan_fits = scan.nbytes <= memory_budget()
+    routes: list[tuple[SystemShape, RouteCost]] = []
+    total = 0.0
+    for v in range(stop, start - 1, -1):
+        if scan_fits and total >= scan.seconds:
+            break
         n[axis] = v
-        out.append(failed_count(validate_shape(n, s), config=config))
-    return out
+        shape = validate_shape(n, s)
+        routes.append((shape, choose_route(shape, config=config)))
+        total += routes[-1][1].seconds
+    if scan_fits and total >= scan.seconds:
+        return _failed_layers(final, axis, start)
+    return [_failed_count(shape, route, config) for shape, route in reversed(routes)]

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import relpoly
-from relpoly import IntPolynomial, polynomial_from_json
+from relpoly import IntPolynomial, polynomial_from_json, validate_shape
 from relpoly.cli import format_poly_text, main
+from relpoly.engine import choose_route
 
 
 def run(capsys, *argv):
@@ -129,6 +130,35 @@ class TestEval:
                              "0.5", "--target", target)
         assert code == 0 and "Traceback" not in err
         assert out.strip() == value
+
+
+class TestRouteInEnvelope:
+    # the route is choose_route's, with a 1-based axis as --vary takes it
+
+    @pytest.mark.parametrize(
+        "argv,name,axis",
+        [(["poly", "--n", "3,4,5", "--s", "2,2,2"], "inclusion-exclusion", 3),
+         (["eval", "--n", "4,5", "--s", "2,2", "--q", "0.3"],
+          "inclusion-exclusion", None),
+         (["count", "--n", "25", "--s", "2"], "transfer-matrix", 1),
+         (["count", "--n", "4,22", "--s", "4,3"], "inclusion-exclusion", 2)],
+    )
+    def test_route(self, capsys, argv, name, axis):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        route = choose_route(validate_shape(*(
+            [int(x) for x in argv[argv.index(flag) + 1].split(",")]
+            for flag in ("--n", "--s")
+        )))
+        assert json.loads(out)["route"] == {
+            "name": name, "axis": axis, "seconds": route.seconds,
+            "bytes": route.nbytes,
+        }
+
+    def test_no_route_for_a_sequence(self, capsys):
+        code, out, _ = run(capsys, "count", "--n", "2", "--s", "2", "--vary", "1",
+                           "--to", "4", "--format", "json")
+        assert code == 0 and "route" not in json.loads(out)
 
 
 class TestCount:
@@ -267,7 +297,11 @@ class TestOracle:
         import relpoly.engine as engine
 
         calls = []
-        for name in ("inclusion_exclusion_polynomial", "transfer_matrix_tally"):
+        for name in (
+            "inclusion_exclusion_polynomial",
+            "transfer_matrix_tally",
+            "_window_layer_polynomial",
+        ):
             def counted(*args, _original=getattr(engine, name), **kwargs):
                 calls.append(1)
                 return _original(*args, **kwargs)
@@ -276,6 +310,34 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--n", "4,4", "--s", "2,2", "--check")
         assert code == 0 and "MATCH" in out
         assert len(calls) == 1
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--n", "3", "--s", "2", "--check",
+                           "--format", "json")
+        env = json.loads(out)
+        assert code == 0 and env["command"] == "oracle"
+        assert env["n"] == [3] and env["s"] == [2]
+        assert env["result"] == {
+            "a": 3, "f": [0, 0, 2, 1], "poly": [[2, "2"], [3, "-1"]],
+            "check": "MATCH",
+        }
+
+    def test_json_without_check(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--n", "2,2", "--s", "2,2",
+                           "--format", "json")
+        env = json.loads(out)
+        assert code == 0 and env["result"]["check"] is None
+        assert env["result"]["a"] == 1
+
+    def test_json_mismatch_exit_4(self, capsys, monkeypatch):
+        import relpoly.cli as cli_module
+
+        monkeypatch.setattr(
+            cli_module, "failure_polynomial", lambda shape: IntPolynomial({1: 1})
+        )
+        code, out, _ = run(capsys, "oracle", "--n", "3", "--s", "2", "--check",
+                           "--format", "json")
+        assert code == 4 and json.loads(out)["result"]["check"] == "MISMATCH"
 
     def test_plain_report(self, capsys):
         code, out, _ = run(capsys, "oracle", "--n", "2,2", "--s", "2,2")

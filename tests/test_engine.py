@@ -3,6 +3,9 @@
 import itertools
 import math
 import os
+import re
+import statistics
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    catalog,
     intersection_cells,
     intersection_volume,
     one_dim_recursion,
@@ -38,6 +42,7 @@ from relpoly.engine import (
     INCLUSION_EXCLUSION,
     TRANSFER_MATRIX,
     _survivor_layers,
+    _window_layer_polynomial,
     choose_route,
     inclusion_exclusion_polynomial,
     ordered_map,
@@ -382,12 +387,12 @@ class TestCounts:
          ([3, 1], [2, 2], 1, 14), ([2, 3, 1], [2, 2, 2], 2, 13)],
     )
     def test_one_scan_sequence(self, n, s, axis, stop):
-        # the transfer matrix scans the final shape along the varied axis,
-        # so every count is read off one scan
+        # one count scan of the final shape along the varied axis reads
+        # off every count; count_sequence gives the same counts whether it
+        # takes that scan or counts each extent by its own route
         final = list(n)
         final[axis] = stop
-        route = choose_route(validate_shape(final, s))
-        assert (route.route, route.axis) == (TRANSFER_MATRIX, axis)
+        final_shape = validate_shape(final, s)
         expected = []
         for v in range(n[axis], stop + 1):
             final[axis] = v
@@ -397,17 +402,39 @@ class TestCounts:
                 expected.append(poly.eval_rational(Fraction(1, 2)) * 2**shape.volume)
             else:
                 expected.append(transfer_matrix_tally(shape).total)
+        assert engine._failed_layers(final_shape, axis, n[axis]) == expected
         assert count_sequence(n, s, axis, stop) == expected
 
-    def test_per_extent_sequence(self):
-        # growing axis 0 of [2,25]x[2,2]: the route scans along axis 1, so
-        # each extent is counted on its own
-        route = choose_route(validate_shape([3, 25], [2, 2]))
-        assert (route.route, route.axis) == (TRANSFER_MATRIX, 1)
+    @staticmethod
+    def _count_paths(monkeypatch):
+        # record which of the two paths count_sequence takes
+        paths = []
+        for name in ("_failed_layers", "_failed_count"):
+            def spy(*args, _name=name, _original=getattr(engine, name)):
+                paths.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        return paths
+
+    def test_ladder_sequence_is_one_scan(self, monkeypatch):
+        # [2,2] -> [2,24]x[2,2]: the scan of the final shape is priced
+        # below the sum of the 23 extents' own routes, although that
+        # shape's polynomial takes the window-layer form
+        assert choose_route(validate_shape([2, 24], [2, 2])).axis == 1
+        paths = self._count_paths(monkeypatch)
+        counts = count_sequence([2, 2], [2, 2], 1, 24)
+        assert paths == ["_failed_layers"] and len(counts) == 23
+
+    def test_per_extent_sequence(self, monkeypatch):
+        # growing axis 0 of [2,25]x[2,2]: a scan along axis 0 holds 3^25
+        # states, so each extent is counted on its own
         expected = [
             count_sequence([m, 2], [2, 2], 1, 25)[-1] for m in (2, 3)
         ]
+        paths = self._count_paths(monkeypatch)
         assert count_sequence([2, 25], [2, 2], 0, 3) == expected
+        assert paths == ["_failed_count", "_failed_count"]
 
 
 class TestTransferMatrix:
@@ -488,14 +515,121 @@ class TestTransferMatrix:
         )
 
 
+class TestWindowLayerScan:
+    # the same polynomial along every axis as the whole-set sweep and brute
+    # force: the footprints, the held layers and the padded shift are all
+    # indexed per axis
+
+    @pytest.mark.parametrize(
+        "n,s",
+        [([3, 5], [2, 3]), ([4, 4], [3, 2]), ([2, 7], [2, 2]),
+         ([2, 2, 4], [2, 2, 2]), ([2, 3, 2], [1, 2, 2]), ([3, 2, 2], [2, 1, 2]),
+         ([2, 2, 3], [2, 2, 2]), ([3, 4], [2, 2]), ([2, 3, 3], [2, 2, 2]),
+         # s_a = 1 on some axis: no window layer is held
+         ([3, 4], [1, 2]), ([4, 4], [1, 1]), ([6], [1]),
+         # s_a = n_a: one window layer
+         ([3, 5], [3, 2]), ([5], [5]),
+         # fewer window layers than s_a
+         ([4, 5], [3, 2]), ([6], [4]), ([2, 5, 2], [2, 4, 1])],
+    )
+    def test_every_axis_matches_brute_force(self, n, s):
+        shape = validate_shape(n, s)
+        expected = tally_to_polynomial(brute_force_tally(shape))
+        assert inclusion_exclusion_polynomial(shape) == expected
+        for axis in range(shape.d):
+            assert _window_layer_polynomial(shape, axis) == expected, axis
+
+    def test_every_axis_of_the_catalog(self):
+        for shape in catalog(max_volume=12):
+            expected = inclusion_exclusion_polynomial(shape)
+            for axis in range(shape.d):
+                assert _window_layer_polynomial(shape, axis) == expected, (shape, axis)
+
+    def test_nonfailable(self):
+        shape = validate_shape([3, 2], [2, 3])
+        for axis in range(shape.d):
+            assert _window_layer_polynomial(shape, axis).is_zero
+
+    @pytest.mark.parametrize(
+        "n,s",
+        # |E| = 61 and 58 on int64 (N = 124 and 90); 62, 67 and 69 on Python
+        # ints, [67]x[1] with coefficients up to C(67, 33) > 2^63
+        [([2, 62], [2, 2]), ([3, 30], [2, 2]), ([2, 63], [2, 2]), ([67], [1]),
+         ([2, 70], [2, 2])],
+    )
+    def test_both_sides_of_the_int64_bound(self, n, s):
+        shape = validate_shape(n, s)
+        expected = tally_to_polynomial(transfer_matrix_tally(shape))
+        assert _window_layer_polynomial(shape, shape.d - 1) == expected
+
+    def test_one_dim_recursion(self):
+        points = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
+        for k in range(1, 6):
+            for n in range(1, 61):
+                poly = _window_layer_polynomial(validate_shape([n], [k]), 0)
+                for q in points:
+                    assert 1 - poly.eval_rational(q) == one_dim_recursion(k, n, q), (
+                        k, n, q,
+                    )
+
+    def test_support_of_one_window_layer(self):
+        # [3]x[2]: windows {0,1} and {1,2}; each footprint has one subset
+        support, counts = engine._layer_support((3,), (2,))
+        assert support.tolist() == [0b000, 0b011, 0b110, 0b111]
+        assert counts.tolist() == [1, -1, -1, 1]
+        # [4]x[2]: {0,1,2,3} is covered by {w0, w2} and by {w0, w1, w2},
+        # whose signs cancel
+        support, counts = engine._layer_support((4,), (2,))
+        assert 0b1111 not in support.tolist()
+        assert not support.flags.writeable
+
+
+class TestCostModel:
+    # the cost model predicts each form's time within a wide band of the
+    # measured median at one worker; the host's speed drifts up to 1.6x
+    # between runs
+
+    @staticmethod
+    def _median_seconds(compute):
+        compute()  # caches, and the first call's allocations
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            compute()
+            times.append(time.perf_counter() - started)
+        return statistics.median(times)
+
+    @pytest.mark.parametrize(
+        "n,s,form",
+        [([3, 4, 5], [2, 2, 2], "layers"), ([4, 22], [4, 3], "layers"),
+         ([6, 6], [2, 2], "layers"), ([4, 5], [2, 2], "sweep"),
+         ([25], [2], "scan")],
+    )
+    def test_predicted_within_a_band_of_measured(self, n, s, form):
+        shape = validate_shape(n, s)
+        config = EngineConfig(workers=1)
+        if form == "sweep":
+            cost = engine._inclusion_exclusion_cost(shape, config)
+            compute = lambda: inclusion_exclusion_polynomial(shape, config=config)
+        elif form == "scan":
+            cost = engine._transfer_matrix_cost(shape)
+            compute = lambda: tally_to_polynomial(transfer_matrix_tally(shape))
+        else:
+            cost = choose_route(shape, config=config)
+            assert cost.route == INCLUSION_EXCLUSION and cost.axis is not None
+            compute = lambda: _window_layer_polynomial(shape, cost.axis)
+        ratio = cost.seconds / self._median_seconds(compute)
+        assert 0.2 <= ratio <= 5, ratio
+
+
 class TestRouting:
     @pytest.mark.parametrize(
         "n,s,route",
-        [([6, 6], [2, 2], TRANSFER_MATRIX), ([25], [2], TRANSFER_MATRIX),
+        [([6, 6], [2, 2], INCLUSION_EXCLUSION), ([25], [2], TRANSFER_MATRIX),
          ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], TRANSFER_MATRIX),
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
          ([4, 22], [4, 3], INCLUSION_EXCLUSION),
-         ([5, 5], [2, 2], TRANSFER_MATRIX), ([15], [2], TRANSFER_MATRIX),
+         ([5, 5], [2, 2], INCLUSION_EXCLUSION), ([15], [2], TRANSFER_MATRIX),
          ([9], [2], INCLUSION_EXCLUSION), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
          # 27 windows: no cap on |E| beyond memory
          ([4, 21], [2, 13], INCLUSION_EXCLUSION),
@@ -503,6 +637,20 @@ class TestRouting:
     )
     def test_cheaper_route(self, n, s, route):
         assert choose_route(validate_shape(n, s)).route == route
+
+    @pytest.mark.parametrize(
+        "n,s,axis",
+        [([3, 4, 5], [2, 2, 2], 2), ([4, 22], [4, 3], 1), ([2, 5, 6], [2, 2, 2], 2),
+         ([4, 4, 4], [2, 2, 2], 0), ([4, 21], [2, 13], 0),
+         ([4, 5], [2, 2], None), ([9], [2], None),
+         # 110 footprints a window layer, four layers held: the rows do
+         # not fit, the sweep's 2^27 entries do
+         ([6, 6, 6], [4, 4, 4], None)],
+    )
+    def test_inclusion_exclusion_form(self, n, s, axis):
+        # the window-layer form scans an axis; the whole-set sweep has none
+        route = choose_route(validate_shape(n, s))
+        assert (route.route, route.axis) == (INCLUSION_EXCLUSION, axis)
 
     def test_bytes_count_only_the_chunks_in_flight(self):
         # 4096 subsets make one block, run serially at any worker count
@@ -518,9 +666,11 @@ class TestRouting:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(engine, "memory_budget", lambda: 4e9)
         shape = validate_shape([3, 4, 6], [2, 2, 2])
-        costs = [choose_route(shape, config=EngineConfig(workers=w)) for w in (2, 64)]
-        assert costs[0].route == costs[1].route == INCLUSION_EXCLUSION
-        assert costs[0].nbytes == costs[1].nbytes
+        costs = [
+            engine._inclusion_exclusion_cost(shape, EngineConfig(workers=w))
+            for w in (1, 2, 64)
+        ]
+        assert costs[0].nbytes < costs[1].nbytes == costs[2].nbytes
 
     def test_no_route_error_gives_both_costs(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -528,6 +678,15 @@ class TestRouting:
         message = str(exc.value)
         assert INCLUSION_EXCLUSION in message and TRANSFER_MATRIX in message
         assert "bytes" in message and "'mc'" in message
+
+
+    def test_no_route_error_names_the_window_layer_form(self):
+        with pytest.raises(ResourceLimitError) as exc:
+            choose_route(validate_shape([12, 12], [3, 3]))
+        assert re.search(
+            r"inclusion-exclusion along axis [12] predicts \S+ s and \S+ bytes",
+            str(exc.value),
+        )
 
 
 class TestRefusesBeforeAllocating:
@@ -563,6 +722,24 @@ class TestRefusesBeforeAllocating:
         # neither route fits [12,12]x[3,3]; the counts refuse as the
         # polynomial does
         assert self._peak_bytes_while_refused(count) < 1 << 20
+
+    def test_window_layer_scan(self):
+        # 112 footprints a window layer, two layers held: 1.4e6 rows of 145
+        # Python-int coefficients
+        shape = validate_shape([12, 12], [3, 3])
+        peak = self._peak_bytes_while_refused(
+            lambda: engine._window_layer_polynomial(shape, 0)
+        )
+        assert peak < 1 << 20
+
+    def test_window_layer_scan_within_a_low_budget(self, monkeypatch):
+        shape = validate_shape([3, 4, 5], [2, 2, 2])
+        nbytes = engine._window_layer_cost(shape, 2).nbytes
+        monkeypatch.setattr(engine, "memory_budget", lambda: nbytes / 2)
+        peak = self._peak_bytes_while_refused(
+            lambda: engine._window_layer_polynomial(shape, 2)
+        )
+        assert peak < 1 << 20
 
     def test_transfer_matrix_without_a_memory_report(self, monkeypatch):
         # with no physical memory to budget against, the state tensor must
