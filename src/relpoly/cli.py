@@ -21,9 +21,11 @@ from fractions import Fraction
 
 from . import __version__
 from .engine import (
+    VALUE,
     RouteCost,
     choose_route,
     count_sequence,
+    exact_reliability,
     failed_count,
     failure_polynomial,
     reliability_polynomial,
@@ -86,13 +88,35 @@ def _shape_from_args(args) -> SystemShape:
     return validate_shape(_parse_extents(args.n), _parse_extents(args.s))
 
 
+def _route_json(route: RouteCost, reached: int | None) -> dict:
+    """A route as the envelope reports it; a value scan adds the states it
+    was priced with and the most it held."""
+    out = {
+        "name": route.route,
+        "axis": None if route.axis is None else route.axis + 1,
+        "payload": route.payload,
+        "seconds": route.seconds,
+        "bytes": route.nbytes,
+    }
+    if route.payload == VALUE:
+        out["states"] = {"predicted": route.states, "reached": reached}
+    return out
+
+
+def _run_json(stats: dict) -> dict:
+    """The envelope fields of one engine run's ``stats``."""
+    if "routes" in stats:
+        return {"routes": [_run_json(run)["route"] for run in stats["routes"]]}
+    return {"route": _route_json(stats["route"], stats.get("states"))}
+
+
 def _envelope(
     command: str,
     shape: SystemShape,
     mode: str,
     result,
     started: float,
-    route: RouteCost | None = None,
+    run: dict | None = None,
 ) -> dict:
     env = {
         "tool": "relpoly",
@@ -104,14 +128,7 @@ def _envelope(
         "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
         "result": result,
     }
-    if route is not None:
-        env["route"] = {
-            "name": route.route,
-            "axis": None if route.axis is None else route.axis + 1,
-            "seconds": route.seconds,
-            "bytes": route.nbytes,
-        }
-    return env
+    return env if run is None else env | run
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -132,7 +149,8 @@ def cmd_poly(args) -> int:
     )
     if args.format == "json":
         result = polynomial_to_json(shape, poly)
-        env = _envelope("poly", shape, "exact", result, started, choose_route(shape))
+        run = _run_json({"route": choose_route(shape)})
+        env = _envelope("poly", shape, "exact", result, started, run)
         print(json.dumps(env))
     else:
         print(format_poly_text(poly))
@@ -143,21 +161,23 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     shape = _shape_from_args(args)
     q = _parse_q(args.q)
-    poly = (
-        failure_polynomial(shape)
-        if args.target == "p"
-        else reliability_polynomial(shape)
-    )
+    stats: dict = {}  # the exact value's run; a float's is the polynomial's
     if args.exact:
-        value = poly.eval_rational(q)
+        value = exact_reliability(shape, q, stats=stats)
+        if args.target == "p":
+            value = 1 - value
         rendered: object = str(value)
     else:
-        value = poly.eval_float(float(q))
-        rendered = value
+        poly = (
+            failure_polynomial(shape)
+            if args.target == "p"
+            else reliability_polynomial(shape)
+        )
+        rendered = poly.eval_float(float(q))
     if args.format == "json":
         result = {"q": str(q) if args.exact else float(q), "value": rendered}
-        env = _envelope("eval", shape, "exact", result, started, choose_route(shape))
-        print(json.dumps(env))
+        run = _run_json(stats or {"route": choose_route(shape)})
+        print(json.dumps(_envelope("eval", shape, "exact", result, started, run)))
     else:
         print(rendered)
     return EXIT_OK
@@ -168,19 +188,19 @@ def cmd_count(args) -> int:
     shape = _shape_from_args(args)
     if (args.vary is None) != (args.to is None):
         raise ValueError("--vary and --to must be given together")
+    stats: dict = {}
     if args.vary is not None:
         if not 1 <= args.vary <= shape.d:
             raise ValueError(f"--vary axis must be in 1..{shape.d}")
-        counts = count_sequence(shape.n, shape.s, args.vary - 1, args.to)
+        counts = count_sequence(shape.n, shape.s, args.vary - 1, args.to, stats=stats)
         rendered = ",".join(str(c) for c in counts)
         result: object = [str(c) for c in counts]
     else:
-        count = failed_count(shape)
+        count = failed_count(shape, stats=stats)
         rendered = str(count)
         result = str(count)
     if args.format == "json":
-        route = None if args.vary is not None else choose_route(shape)
-        env = _envelope("count", shape, "exact", result, started, route)
+        env = _envelope("count", shape, "exact", result, started, _run_json(stats))
         print(json.dumps(env))
     else:
         print(rendered)

@@ -1,4 +1,4 @@
-"""Exact failure/reliability polynomials, by routes picked by cost.
+"""Exact failure/reliability polynomials and values, by routes picked by cost.
 
 **Inclusion-exclusion.**  An *elementary failure* is a placement of the
 ``s_1 x ... x s_d`` window inside the array, identified by the 1-based
@@ -27,6 +27,12 @@ is evaluated in one of two forms:
   grows with the footprints of one window layer to the power ``s_a``, not
   with ``2^|E|``.
 
+The window-layer scan has a second payload, :func:`_window_layer_values`:
+one exact integer per state in place of a polynomial row, which gives
+``b^N R(a/b)`` at one rational q = a/b.  Its states are chains of suffix
+unions of the held footprints, so tuples that cover the coming cell layers
+alike merge.  A failed count is ``2^N`` less its value at q = 1/2.
+
 **Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
 configurations by weight in one scan along an axis ``a`` (finite Markov
 chain imbedding: Fu & Koutras 1994; Yamamoto & Miyakawa 1995 for the
@@ -37,18 +43,18 @@ cross-section cell and a weight axis that grows by one per scanned cell,
 so each cell costs a few whole-array slice operations over all
 ``(s_a + 1)^(N / n_a)`` states, and the scan about N * states * N.  The
 failed tally is ``C(N, k)`` minus the survivors, and the polynomial
-follows from it as in the oracle.  A failed count needs no weight axis:
-the same scan with one count per state gives ``2^N`` less the surviving
-mass.
+follows from it as in the oracle.
 
-:func:`failure_polynomial`, :func:`failed_count` and :func:`count_sequence`
-take whichever of the three (the sweep, the window-layer scan along its
-best axis, the transfer matrix) :func:`choose_route` predicts to be
-fastest among those whose predicted peak memory fits in half the
-machine's physical memory.  Memory is the only bound on any of them:
-inclusion-exclusion has no cap on |E| of its own.  Each refuses with
-:class:`~relpoly.model.ResourceLimitError` before it allocates, and so does
-the choice when none fits.
+:func:`failure_polynomial` takes whichever of the three (the sweep, the
+window-layer scan along its best axis, the transfer matrix)
+:func:`choose_route` predicts to be fastest among those whose predicted
+peak memory fits in half the machine's physical memory.  A value at one q
+(:func:`failed_count`, :func:`count_sequence`, :func:`exact_reliability`)
+can also take the window-layer scan with one value per state, and takes
+it where it is predicted fastest.  Memory is the only bound on any of
+them: inclusion-exclusion has no cap on |E| of its own.  Each refuses
+with :class:`~relpoly.model.ResourceLimitError` before it allocates, and
+so does the choice when none fits.
 
 The worker rule lives here as well: :func:`resolve_workers` reads
 ``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs in job order on a
@@ -65,7 +71,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,7 +87,9 @@ from .oracle import WeightTally, tally_to_polynomial
 
 __all__ = [
     "INCLUSION_EXCLUSION",
+    "POLYNOMIAL",
     "TRANSFER_MATRIX",
+    "VALUE",
     "WORKERS_ENV_VAR",
     "CellMaskTable",
     "EngineConfig",
@@ -89,6 +98,7 @@ __all__ = [
     "choose_route",
     "count_sequence",
     "enumerate_elementary_failures",
+    "exact_reliability",
     "failed_count",
     "failure_polynomial",
     "inclusion_exclusion_polynomial",
@@ -102,6 +112,14 @@ Offsets = tuple[int, ...]
 #: Route names, as reported by :func:`choose_route`.
 INCLUSION_EXCLUSION = "inclusion-exclusion"
 TRANSFER_MATRIX = "transfer-matrix"
+
+#: Payloads, as reported by :class:`RouteCost`: the whole polynomial, or
+#: one exact integer per scan state, read at one q.
+POLYNOMIAL = "polynomial"
+VALUE = "value"
+
+# Counts are values at q = 1/2: 2^N R(1/2) configurations survive.
+_HALF = Fraction(1, 2)
 
 #: Environment variable consulted when no worker count is passed.
 WORKERS_ENV_VAR = "RELPOLY_WORKERS"
@@ -145,20 +163,21 @@ _SCAN_LIVE_MATRICES = 3
 # (math.comb per weight, Horner in 1 - q): N * (cell + states * (N + 1) *
 # entry + N * rebuild), with the state bound as the state count.  Fitted to
 # timings of both routes at one worker on a 2-core x86-64 host (Python
-# 3.11, numpy 2.4).  Inclusion-exclusion: medians of 73 shapes with |E| =
-# 3-28, the per-call and per-step terms fitted together in log error,
-# subject to keeping the routes of the benchmark and routing-test shapes.
-# Unconstrained, the fit is 0.14 ms + 0.29 ns per step (within 0.54-1.83x
-# of every shape), but it sends [14]x[2] and [5,5]x[2,2] to
-# inclusion-exclusion; kept to the routes, it is 0.16 ms + 1.25 ns per
-# step, within 0.70-2.97x of the time for |E| <= 18 and 2.9-7.9x above it
-# for |E| >= 20.  Dense scan over 25 shapes: 16.5 us per cell, and 2.2 ns per
-# int64 or 25 ns per Python-int count, each shape within 0.74-1.37x of its
-# scan time; 0.22 us per rebuild step, the least-squares fit in relative
-# error of the whole polynomial's medians over 40 1-D and 2-D shapes with
-# N = 3-200 (0.39-1.42x of each).
-_IE_SECONDS_PER_CALL = 1.6e-4
-_IE_SECONDS_PER_STEP = 1.25e-9
+# 3.11, numpy 2.4), whose speed drifts up to 2x between sessions, so
+# constants fitted in different sessions are put in the units of the
+# window-layer scan's (below): a session's medians are scaled by the
+# median ratio of that scan's predicted to measured time in the same
+# interleaved runs (1.6-2.0).  Inclusion-exclusion: two interleaved
+# sessions of 41 and 61 rounds at |E| = 9-16, fitted in relative error:
+# 0.23 ms per call and 0.44 ns per step (within 0.77-1.17x of each
+# shape).  It predicts 1.49 s for [6,6,6]x[4,4,4], which measured 1.1 s.
+# Dense scan over 25 shapes: 16.5 us per cell, and 2.2 ns per int64 or 25
+# ns per Python-int count, each shape within 0.74-1.37x of its scan time;
+# 0.22 us per rebuild step, the least-squares fit in relative error of the
+# whole polynomial's medians over 40 1-D and 2-D shapes with N = 3-200
+# (0.39-1.42x of each).
+_IE_SECONDS_PER_CALL = 2.3e-4
+_IE_SECONDS_PER_STEP = 4.4e-10
 _SCAN_SECONDS_PER_CELL = 1.65e-5
 _SCAN_SECONDS_PER_INT64_ENTRY = 2.2e-9
 _SCAN_SECONDS_PER_OBJECT_ENTRY = 2.5e-8
@@ -184,6 +203,24 @@ _LAYER_SECONDS_PER_CALL = 1.2e-4
 _LAYER_SECONDS_PER_LAYER = 2.5e-5
 _LAYER_SECONDS_PER_INT64_ENTRY = 1.1e-9
 _LAYER_SECONDS_PER_OBJECT_ENTRY = 2.7e-8
+
+# The window-layer scan with one value per state costs a fixed per-call
+# overhead, one per cell layer, and one Python-int step per state and
+# footprint or covered-cell count, which grows with the bits of the values:
+# call + n_a * (layer + steps * (step + bits * step_bit)), see
+# _window_layer_value_cost.  Fitted in relative error to the medians of 100
+# shape-axis-q triples (q = 1/2, 1/10, 19/50 and binary64 0.38; 9
+# interleaved rounds) with the states that were reached, then scaled by
+# 2.0 into the units above: 31 us per call, 1.6 us per layer, 0.23 us per
+# step and 0.15 ns per step and bit, each triple within 0.61-1.49x.  Priced
+# with the state bound instead, merged scans are over-predicted, 5.5x on
+# [12,12]x[3,3].  A dict entry peaks at 90-110 bytes besides its value
+# (tracemalloc, two dicts alive); twice that is charged.
+_VALUE_SECONDS_PER_CALL = 3.1e-5
+_VALUE_SECONDS_PER_LAYER = 1.6e-6
+_VALUE_SECONDS_PER_STEP = 2.3e-7
+_VALUE_SECONDS_PER_STEP_BIT = 1.5e-10
+_VALUE_BYTES_PER_STATE = 200
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -313,16 +350,23 @@ class RouteCost(NamedTuple):
     model; the route can run when ``nbytes`` fits :func:`memory_budget`.
     ``axis`` (0-based) is the axis a scan walks: the transfer matrix's, or
     the window-layer form of inclusion-exclusion's.  It is None for the
-    inclusion-exclusion sweep over all window subsets.
+    inclusion-exclusion sweep over all window subsets.  ``payload`` says
+    what the route computes: the whole polynomial, or (``VALUE``) one exact
+    integer per scan state, for one q; ``states`` is then the bound on the
+    states it was priced with.
     """
 
     route: str
     seconds: float
     nbytes: float
     axis: int | None = None
+    payload: str = POLYNOMIAL
+    states: float | None = None
 
     def describe(self) -> str:
         where = "" if self.axis is None else f" along axis {self.axis + 1}"
+        if self.payload == VALUE:
+            where += ", one value per state,"
         return (
             f"{self.route}{where} predicts {self.seconds:.3g} s and "
             f"{self.nbytes:.3g} bytes"
@@ -359,8 +403,12 @@ def _within_budget(subject: str, costs: Sequence[RouteCost]) -> list[RouteCost]:
     )
 
 
-def _pow2(exponent: float) -> float:
-    return 2.0**exponent if exponent < 1000 else math.inf
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` as a float; infinity past the float range."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def _zeta_dtype(covered_cells: int) -> type:
@@ -374,7 +422,7 @@ def _zeta_dtype(covered_cells: int) -> type:
 
 def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> RouteCost:
     m, volume = shape.num_windows, shape.volume
-    subsets = _pow2(m)
+    subsets = _power(2, m)
     block = min(subsets, 1 << _BLOCK_BITS)
     blocks = subsets / block
     threads = _pool_threads(config.resolved_workers(), blocks)
@@ -398,7 +446,7 @@ def _transfer_matrix_cost(shape: SystemShape, axis: int | None = None) -> RouteC
 
     if axis is None:
         axis = min(range(shape.d), key=log2_states)
-    states = _pow2(log2_states(axis))
+    states = _power(2, log2_states(axis))
     if volume < 63:  # every count is at most 2^N
         entry_bytes, entry_seconds = 8, _SCAN_SECONDS_PER_INT64_ENTRY
     else:
@@ -413,28 +461,39 @@ def _transfer_matrix_cost(shape: SystemShape, axis: int | None = None) -> RouteC
     return RouteCost(TRANSFER_MATRIX, seconds, nbytes, axis)
 
 
+@lru_cache(maxsize=256)
+def _layer_footprints(shape: SystemShape, axis: int) -> tuple[int, float]:
+    """Windows W of one window layer along ``axis``, and the footprints
+    ``u`` in its support.
+
+    ``u`` is counted where the layer has at most
+    ``2^_LAYER_SUPPORT_MAX_WINDOWS`` subsets, and bounded by ``2^W`` beyond,
+    so no support larger than that is built to price a scan.  Cached:
+    both window-layer scans price every axis of every route choice.
+    """
+    cross_n, cross_s = _cross_section(shape, axis)
+    per_layer = math.prod(max(0, nr - sr + 1) for nr, sr in zip(cross_n, cross_s))
+    if per_layer <= _LAYER_SUPPORT_MAX_WINDOWS:
+        return per_layer, len(_layer_support(cross_n, cross_s)[0])
+    return per_layer, _power(2, per_layer)
+
+
 def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
     """The window-layer scan's cost along ``axis`` of a failable shape.
 
     With ``u`` footprints in the support, the scan holds ``u^(s_a - 1)``
     states and, at each of the ``n_a`` cell layers, copies every state's
     ``cells + 1`` shifts and gathers ``u^s_a`` rows, which widen by one
-    cross-section per layer up to ``N + 1`` exponents.  ``u`` is counted
-    where a window layer has at most ``2^_LAYER_SUPPORT_MAX_WINDOWS``
-    subsets, and bounded by ``2^W`` beyond.  Footprints are 64-bit masks,
-    so a cross-section of more than 64 cells costs infinity.
+    cross-section per layer up to ``N + 1`` exponents.  Footprints are
+    64-bit masks, so a cross-section of more than 64 cells costs infinity.
     """
     n_a, s_a, volume = shape.n[axis], shape.s[axis], shape.volume
     cells = volume // n_a
     if cells > 64:
         return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis)
-    per_layer = shape.num_windows // (n_a - s_a + 1)
-    if per_layer <= _LAYER_SUPPORT_MAX_WINDOWS:
-        log2_u = math.log2(len(_layer_support(*_cross_section(shape, axis))[0]))
-    else:
-        log2_u = per_layer
-    states = _pow2((s_a - 1) * log2_u)
-    joint = _pow2(s_a * log2_u)
+    per_layer, u = _layer_footprints(shape, axis)
+    states = _power(u, s_a - 1)
+    joint = _power(u, s_a)
     if shape.num_windows < 62:  # see _window_layer_polynomial
         entry_bytes, entry_seconds = 8, _LAYER_SECONDS_PER_INT64_ENTRY
     else:
@@ -444,7 +503,7 @@ def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
     nbytes = (
         (rows + 2 * states) * (volume + 1 + cells) * entry_bytes
         + _LAYER_BYTES_PER_JOINT_STATE * joint  # the start table
-        + _LAYER_SUPPORT_BYTES_PER_SUBSET * _pow2(per_layer)
+        + _LAYER_SUPPORT_BYTES_PER_SUBSET * _power(2, per_layer)
     )
     seconds = (
         _LAYER_SECONDS_PER_CALL
@@ -454,25 +513,77 @@ def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
     return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, axis)
 
 
-def choose_route(
-    shape: SystemShape, *, config: EngineConfig | None = None
-) -> RouteCost:
-    """The exact route :func:`failure_polynomial` takes for ``shape``.
+def _value_bits(shape: SystemShape, q: Fraction) -> float:
+    """Bits of the scaled value ``b^N R(a/b)`` at q = a/b: N for a count."""
+    return shape.volume * math.log2(max(abs(q.numerator), q.denominator, 2))
 
-    The candidates are the inclusion-exclusion sweep, the transfer matrix
-    along its axis of fewest states and, for failable shapes, the
-    window-layer form of inclusion-exclusion along its fastest axis.  Among
-    those that can run, the one with the lowest predicted time.  Raises
+
+def _window_layer_value_cost(shape: SystemShape, axis: int, bits: float) -> RouteCost:
+    """The cost along ``axis`` of the window-layer scan with one value of
+    about ``bits`` bits per state.
+
+    Its states are chains of suffix unions, merged as they are reached, so
+    their number is not known before the scan.  It is priced with a bound:
+    ``u^(s_a - 1)`` tuples of held footprints, or ``s_a^cells`` chains (a
+    cell of a chain lies in its first j unions, j = 0 .. s_a - 1),
+    whichever is less.  At each of the ``n_a`` cell layers, each state is
+    scaled once per covered-cell count and added into one state per
+    footprint, each step a Python-int operation on about ``bits`` bits.
+    Two dicts of states are alive at once.  The memory check counts the
+    support's ``2^W`` subsets as the polynomial scan's does.
+    """
+    n_a, s_a = shape.n[axis], shape.s[axis]
+    cells = shape.volume // n_a
+    if cells > 64:
+        return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis, VALUE, math.inf)
+    per_layer, u = _layer_footprints(shape, axis)
+    states = min(_power(u, s_a - 1), _power(s_a, cells))
+    steps = states * (u + cells + 1)
+    nbytes = (
+        2 * states * (_VALUE_BYTES_PER_STATE + bits / 8)
+        + _LAYER_SUPPORT_BYTES_PER_SUBSET * _power(2, per_layer)
+    )
+    seconds = _VALUE_SECONDS_PER_CALL + n_a * (
+        _VALUE_SECONDS_PER_LAYER
+        + steps * (_VALUE_SECONDS_PER_STEP + bits * _VALUE_SECONDS_PER_STEP_BIT)
+    )
+    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, axis, VALUE, states)
+
+
+def _fastest(costs: Iterable[RouteCost]) -> RouteCost:
+    return min(costs, key=lambda c: c.seconds)
+
+
+def choose_route(
+    shape: SystemShape,
+    *,
+    q: Fraction | int | None = None,
+    config: EngineConfig | None = None,
+) -> RouteCost:
+    """The exact route :func:`failure_polynomial` takes for ``shape``, or,
+    given ``q``, the route a value at ``q`` takes.
+
+    The polynomial's candidates are the inclusion-exclusion sweep, the
+    transfer matrix along its axis of fewest states and, for failable
+    shapes, the window-layer form of inclusion-exclusion along its fastest
+    axis.  A value at a rational ``q`` can also take the window-layer scan
+    with one value per state (payload ``VALUE``) along its fastest axis;
+    counts are values at q = 1/2 (:func:`failed_count`,
+    :func:`exact_reliability`).  Among the candidates that can run, the one
+    with the lowest predicted time.  Raises
     :class:`~relpoly.model.ResourceLimitError` with every candidate's
     predicted time and bytes when none can.
     """
     config = config or _DEFAULT_CONFIG
     costs = [_inclusion_exclusion_cost(shape, config), _transfer_matrix_cost(shape)]
     if shape.failable:
-        layered = (_window_layer_cost(shape, a) for a in range(shape.d))
-        costs.append(min(layered, key=lambda c: c.seconds))
-    fitting = _within_budget(f"no exact route fits {shape}", costs)
-    return min(fitting, key=lambda c: c.seconds)
+        costs.append(_fastest(_window_layer_cost(shape, a) for a in range(shape.d)))
+        if q is not None:
+            bits = _value_bits(shape, Fraction(q))
+            costs.append(
+                _fastest(_window_layer_value_cost(shape, a, bits) for a in range(shape.d))
+            )
+    return _fastest(_within_budget(f"no exact route fits {shape}", costs))
 
 
 # -- inclusion-exclusion: the subset sweep ------------------------------------
@@ -738,12 +849,66 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     return IntPolynomial(enumerate(coeffs))
 
 
+def _window_layer_values(
+    shape: SystemShape, axis: int, q: Fraction, start: int
+) -> tuple[list[int], int]:
+    """``b^(t * cells) * R_t(a/b)`` for t = ``start`` .. ``n_a``, where R_t
+    is the reliability of the first t cell layers along ``axis`` and q =
+    a/b; and the most states the scan held.
+
+    The sum of :func:`_window_layer_polynomial`, with one exact integer per
+    state in place of a polynomial row: a cell layer with k covered cells
+    multiplies a term by ``a^k * b^(cells - k)``.  The state is the chain
+    of suffix unions ``U_1 ⊇ ... ⊇ U_h`` of the last ``h = s_a - 1``
+    footprints, since cell layer ``t + i`` is covered by the union of the
+    held layers from the i-th on; tuples of footprints with the same chain
+    merge.  Footprint f covers ``U_1 | f`` of the current cell layer and
+    maps the chain to ``(U_2 | f, ..., U_h | f, f)``.  A chain is packed
+    into one int, ``U_1`` in its low ``cells`` bits, so shifting it down
+    one slot and ORing f into every slot maps it.  The empty chain holds
+    the terms whose last h window layers are empty, which are the terms of
+    the first t cell layers alone: R_t.  Past the last window layer only
+    the empty footprint is chosen, so the scan ends on the empty chain.
+
+    Raises :class:`~relpoly.model.ResourceLimitError` before counting the
+    support or building any state when the predicted states would not fit
+    in half the physical memory.
+    """
+    a, b = q.numerator, q.denominator
+    _within_budget(
+        f"instance {shape}",
+        [_window_layer_value_cost(shape, axis, _value_bits(shape, q))],
+    )
+    cells = shape.volume // shape.n[axis]
+    held = shape.s[axis] - 1
+    window_layers = shape.n[axis] - held
+    support, counts = _layer_support(*_cross_section(shape, axis))
+    spread = sum(1 << (i * cells) for i in range(held))  # one bit per slot
+    moves = [(f, f * spread, c) for f, c in zip(support.tolist(), counts.tolist())]
+    weights = [a**k * b ** (cells - k) for k in range(cells + 1)]
+    first = (1 << cells) - 1
+    states, values, reached = {0: 1}, [], 1
+    for t in range(1, shape.n[axis] + 1):
+        choices = moves if t <= window_layers else moves[:1]
+        new: dict[int, int] = {}
+        get = new.get
+        for chain, value in states.items():
+            covered, rest = chain & first, chain >> cells
+            scaled = [value * w for w in weights]
+            for f, slots, c in choices:
+                key = rest | slots
+                new[key] = get(key, 0) + c * scaled[(covered | f).bit_count()]
+        states = new
+        reached = max(reached, len(states))
+        if t >= start:
+            values.append(states.get(0, 0))
+    return values, reached
+
+
 # -- transfer matrix: the layer scan ------------------------------------------
 
 
-def _survivor_layers(
-    shape: SystemShape, axis: int, *, weights: bool = True
-) -> Iterator[np.ndarray]:
+def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
     """Surviving configurations after each layer along ``axis``.
 
     Cells are scanned one at a time, layer by layer along ``axis`` and
@@ -759,10 +924,9 @@ def _survivor_layers(
     box come earlier in the layer, so their digits are already updated,
     and zeroing that one slice drops the failing configurations.
 
-    The weight axis grows by one per cell; without ``weights`` it keeps
-    length 1, as if every weight were 0, which is all a count needs.
-    Layer ``t`` yields the state of the first ``t`` layers.  Counts are
-    int64 while ``2^N`` fits, Python ints otherwise.
+    The weight axis grows by one per cell.  Layer ``t`` yields the state of
+    the first ``t`` layers.  Counts are int64 while ``2^N`` fits, Python
+    ints otherwise.
     """
     cross_n, cross_s = _cross_section(shape, axis)
     cap = shape.s[axis]
@@ -782,35 +946,22 @@ def _survivor_layers(
         else:
             boxes.append(None)
 
-    grow = int(weights)  # how far a failed cell moves the weight
     state = np.zeros((cap + 1,) * cells + (1,), dtype=dtype)
     state[(0,) * (cells + 1)] = 1
     for _ in range(shape.n[axis]):
         for i, box in enumerate(boxes):
             lead = (slice(None),) * i
             width = state.shape[-1]
-            grown = np.zeros(state.shape[:-1] + (width + grow,), dtype=dtype)
+            grown = np.zeros(state.shape[:-1] + (width + 1,), dtype=dtype)
             np.sum(state, axis=i, out=grown[lead + (0, ..., slice(None, width))])
-            grown[lead + (slice(1, None), ..., slice(grow, None))] = state[
+            grown[lead + (slice(1, None), ..., slice(1, None))] = state[
                 lead + (slice(None, cap),)
             ]
-            grown[lead + (cap, ..., slice(grow, None))] += state[lead + (cap,)]
+            grown[lead + (cap, ..., slice(1, None))] += state[lead + (cap,)]
             if box is not None:
                 grown[box] = 0
             state = grown
         yield state
-
-
-def _failed_layers(shape: SystemShape, axis: int, start: int) -> list[int]:
-    """Failed configurations of the first ``t`` layers along ``axis``, for
-    t = ``start`` .. ``n_a``: ``2^(t * cells)`` less each layer's surviving
-    mass, from one scan without the weight axis."""
-    cells = shape.volume // shape.n[axis]
-    layers = _survivor_layers(shape, axis, weights=False)
-    return [
-        (1 << (t * cells)) - int(state.sum())
-        for t, state in enumerate(itertools.islice(layers, start - 1, None), start)
-    ]
 
 
 def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
@@ -849,14 +1000,26 @@ def _failure_polynomial(
     return inclusion_exclusion_polynomial(shape, config=config)
 
 
-def _failed_count(
-    shape: SystemShape, route: RouteCost, config: EngineConfig | None
-) -> int:
-    """The failed count by ``route``, as :func:`choose_route` gave it."""
-    if route.route == TRANSFER_MATRIX:
-        return _failed_layers(shape, route.axis, shape.n[route.axis])[0]
-    poly = _failure_polynomial(shape, route, config)
-    return sum(c << (shape.volume - e) for e, c in poly.terms())
+def _reliability(
+    shape: SystemShape, q: Fraction, route: RouteCost, config: EngineConfig | None
+) -> tuple[Fraction, int | None]:
+    """R at ``q`` by ``route``, as :func:`choose_route` gave it, and the
+    most states its value scan held (None for a polynomial)."""
+    if route.payload == VALUE:
+        (value,), reached = _window_layer_values(shape, route.axis, q, shape.n[route.axis])
+        return Fraction(value, q.denominator**shape.volume), reached
+    return 1 - _failure_polynomial(shape, route, config).eval_rational(q), None
+
+
+def _failed(shape: SystemShape, reliability: Fraction) -> int:
+    """Failed configurations among all ``2^N``: ``2^N * (1 - R(1/2))``."""
+    return int((1 - reliability) * 2**shape.volume)
+
+
+def _record(route: RouteCost, reached: int | None) -> dict:
+    """What one run reports: its route and, for a value scan, the most
+    states it held."""
+    return {"route": route} if reached is None else {"route": route, "states": reached}
 
 
 def failure_polynomial(
@@ -878,13 +1041,43 @@ def reliability_polynomial(
     return 1 - failure_polynomial(shape, config=config)
 
 
-def failed_count(shape: SystemShape, *, config: EngineConfig | None = None) -> int:
+def failed_count(
+    shape: SystemShape,
+    *,
+    config: EngineConfig | None = None,
+    stats: dict | None = None,
+) -> int:
     """Number of failed configurations among all 2^N binary arrays.
 
-    That is ``2^N * P(1/2)``: the sum of ``c * 2^(N - e)`` over the terms
-    ``c q^e`` of the polynomial, or ``2^N`` less the scan's surviving mass.
+    That is ``2^N * P(1/2)``, the value :func:`exact_reliability` gives at
+    q = 1/2: by the window-layer scan with one value per state, or by the
+    polynomial at 1/2, whichever is predicted faster.  A ``stats`` dict
+    receives what :func:`exact_reliability` reports.
     """
-    return _failed_count(shape, choose_route(shape, config=config), config)
+    return _failed(shape, exact_reliability(shape, _HALF, config=config, stats=stats))
+
+
+def exact_reliability(
+    shape: SystemShape,
+    q: Fraction | int,
+    *,
+    config: EngineConfig | None = None,
+    stats: dict | None = None,
+) -> Fraction:
+    """Exact reliability R at a rational q.
+
+    Takes the route :func:`choose_route` picks for a value at ``q``: the
+    window-layer scan with one value per state, which builds no
+    polynomial, or a polynomial evaluated at ``q``.  A ``stats`` dict
+    receives the ``"route"`` taken and, for a value scan, the most
+    ``"states"`` it held.
+    """
+    q = Fraction(q)
+    route = choose_route(shape, q=q, config=config)
+    reliability, reached = _reliability(shape, q, route, config)
+    if stats is not None:
+        stats.update(_record(route, reached))
+    return reliability
 
 
 def count_sequence(
@@ -894,18 +1087,21 @@ def count_sequence(
     stop: int,
     *,
     config: EngineConfig | None = None,
+    stats: dict | None = None,
 ) -> list[int]:
     """Failed-configuration counts as one array extent grows.
 
     Axis ``axis`` (0-based) of ``n`` runs from its given value up to
-    ``stop`` inclusive; all other extents stay fixed.  One transfer-matrix
-    scan of the final extent along ``axis``, without the weight axis,
-    yields every count, one per completed layer.  It is taken when it fits
-    and its predicted time is at most the sum of the extents' own routes
-    (both priced as polynomials, so a count refuses wherever the
-    polynomial does); otherwise each extent is counted by its route.  The
-    extents are priced from the largest down, and only until their sum
-    reaches the scan's.
+    ``stop`` inclusive; all other extents stay fixed.  One window-layer
+    scan of the final extent along ``axis``, with one value per state,
+    yields every count: after cell layer t its empty chain holds
+    ``2^(t * cells)`` times the reliability of extent t at q = 1/2.  It is
+    taken when it fits and its predicted time is at most the sum of the
+    extents' own count routes (:func:`failed_count`); otherwise each
+    extent is counted by its route.  The extents are priced from the
+    largest down, and only until their sum reaches the scan's.  A
+    ``stats`` dict receives what :func:`failed_count` reports for the one
+    scan, or under ``"routes"`` a list of those reports, one per extent.
     """
     n = list(n)
     if not 0 <= axis < len(n):
@@ -915,7 +1111,7 @@ def count_sequence(
         raise ValueError(f"stop {stop} is below the starting extent {start}")
     n[axis] = stop
     final = validate_shape(n, s)
-    scan = _transfer_matrix_cost(final, axis)
+    scan = _window_layer_value_cost(final, axis, final.volume)
     scan_fits = scan.nbytes <= memory_budget()
     routes: list[tuple[SystemShape, RouteCost]] = []
     total = 0.0
@@ -924,8 +1120,20 @@ def count_sequence(
             break
         n[axis] = v
         shape = validate_shape(n, s)
-        routes.append((shape, choose_route(shape, config=config)))
+        routes.append((shape, choose_route(shape, q=_HALF, config=config)))
         total += routes[-1][1].seconds
     if scan_fits and total >= scan.seconds:
-        return _failed_layers(final, axis, start)
-    return [_failed_count(shape, route, config) for shape, route in reversed(routes)]
+        survivors, reached = _window_layer_values(final, axis, _HALF, start)
+        if stats is not None:
+            stats.update(_record(scan, reached))
+        cells = final.volume // stop
+        return [(1 << (t * cells)) - v for t, v in enumerate(survivors, start)]
+    counts = []
+    runs = []
+    for shape, route in reversed(routes):
+        reliability, reached = _reliability(shape, _HALF, route, config)
+        counts.append(_failed(shape, reliability))
+        runs.append(_record(route, reached))
+    if stats is not None:
+        stats["routes"] = runs
+    return counts

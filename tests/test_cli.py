@@ -133,32 +133,85 @@ class TestEval:
 
 
 class TestRouteInEnvelope:
-    # the route is choose_route's, with a 1-based axis as --vary takes it
+    # the route is the one that ran, as choose_route prices it, with a
+    # 1-based axis as --vary takes it; a value scan adds its states, as
+    # predicted from their bound and as reached
 
     @pytest.mark.parametrize(
         "argv,name,axis",
         [(["poly", "--n", "3,4,5", "--s", "2,2,2"], "inclusion-exclusion", 3),
          (["eval", "--n", "4,5", "--s", "2,2", "--q", "0.3"],
-          "inclusion-exclusion", None),
-         (["count", "--n", "25", "--s", "2"], "transfer-matrix", 1),
+          "inclusion-exclusion", 1),
+         (["count", "--n", "25", "--s", "2"], "inclusion-exclusion", 1),
          (["count", "--n", "4,22", "--s", "4,3"], "inclusion-exclusion", 2)],
     )
     def test_route(self, capsys, argv, name, axis):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        route = choose_route(validate_shape(*(
-            [int(x) for x in argv[argv.index(flag) + 1].split(",")]
-            for flag in ("--n", "--s")
-        )))
+        # a count is a value at q = 1/2
+        q = Fraction(1, 2) if argv[0] == "count" else None
+        route = choose_route(self._shape(argv), q=q)
+        reported = json.loads(out)["route"]
+        states = reported.pop("states", None)
+        assert reported == {
+            "name": name, "axis": axis, "payload": route.payload,
+            "seconds": route.seconds, "bytes": route.nbytes,
+        }
+        if route.payload == "value":
+            assert states["predicted"] == route.states
+            assert 1 <= states["reached"] <= route.states
+        else:
+            assert states is None
+
+    @pytest.mark.parametrize(
+        "argv,q",
+        [(["eval", "--n", "3,4,5", "--s", "2,2,2", "--q", "1/10", "--exact"],
+          Fraction(1, 10)),
+         (["count", "--n", "5,5", "--s", "3,3"], Fraction(1, 2))],
+    )
+    def test_polynomial_for_a_value(self, capsys, argv, q):
+        # the polynomial is priced below the value scan here
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        route = choose_route(self._shape(argv), q=q)
+        assert code == 0 and route.payload == "polynomial"
+        assert json.loads(out)["route"]["payload"] == "polynomial"
+
+    @pytest.mark.parametrize(
+        "argv,axis,q,reached",
+        [(["count", "--n", "4,22", "--s", "4,3"], 2, Fraction(1, 2), 3),
+         (["eval", "--n", "4,5", "--s", "2,2", "--q", "19/50", "--exact"], 2,
+          Fraction(19, 50), 6)],
+    )
+    def test_value_scan(self, capsys, argv, axis, q, reached):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        route = choose_route(self._shape(argv), q=q)
         assert json.loads(out)["route"] == {
-            "name": name, "axis": axis, "seconds": route.seconds,
-            "bytes": route.nbytes,
+            "name": "inclusion-exclusion", "axis": axis, "payload": "value",
+            "seconds": route.seconds, "bytes": route.nbytes,
+            "states": {"predicted": route.states, "reached": reached},
         }
 
-    def test_no_route_for_a_sequence(self, capsys):
+    def test_one_scan_sequence(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "2", "--s", "2", "--vary", "1",
                            "--to", "4", "--format", "json")
-        assert code == 0 and "route" not in json.loads(out)
+        env = json.loads(out)
+        assert code == 0 and "routes" not in env
+        assert env["route"]["payload"] == "value" and env["route"]["axis"] == 1
+
+    def test_per_extent_sequence(self, capsys):
+        code, out, _ = run(capsys, "count", "--n", "2,25", "--s", "2,2", "--vary",
+                           "1", "--to", "3", "--format", "json")
+        env = json.loads(out)
+        assert code == 0 and "route" not in env
+        assert [r["axis"] for r in env["routes"]] == [2, 2]
+
+    @staticmethod
+    def _shape(argv):
+        return validate_shape(*(
+            [int(x) for x in argv[argv.index(flag) + 1].split(",")]
+            for flag in ("--n", "--s")
+        ))
 
 
 class TestCount:
@@ -192,6 +245,19 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--n", "2", "--s", "2",
                          "--vary", "2", "--to", "5")
         assert code == 2
+
+    def test_past_the_polynomial(self, capsys):
+        # no polynomial of [10,60]x[3,3] fits; the value scan along axis 2
+        # does
+        code, out, _ = run(capsys, "count", "--n", "10,60", "--s", "3,3")
+        assert code == 0 and int(out) > 0
+        code, _, _ = run(capsys, "poly", "--n", "10,60", "--s", "3,3")
+        assert code == 3
+
+    def test_no_route_exit_3_names_the_value_scan(self, capsys):
+        code, out, err = run(capsys, "count", "--n", "48,48", "--s", "3,3")
+        assert code == 3 and out == "" and "'mc'" in err
+        assert "one value per state, predicts" in err
 
 
 class TestCurve:

@@ -40,7 +40,9 @@ from relpoly import (
 from relpoly import engine
 from relpoly.engine import (
     INCLUSION_EXCLUSION,
+    POLYNOMIAL,
     TRANSFER_MATRIX,
+    VALUE,
     _survivor_layers,
     _window_layer_polynomial,
     choose_route,
@@ -387,7 +389,7 @@ class TestCounts:
          ([3, 1], [2, 2], 1, 14), ([2, 3, 1], [2, 2, 2], 2, 13)],
     )
     def test_one_scan_sequence(self, n, s, axis, stop):
-        # one count scan of the final shape along the varied axis reads
+        # one value scan of the final shape along the varied axis reads
         # off every count; count_sequence gives the same counts whether it
         # takes that scan or counts each extent by its own route
         final = list(n)
@@ -402,14 +404,21 @@ class TestCounts:
                 expected.append(poly.eval_rational(Fraction(1, 2)) * 2**shape.volume)
             else:
                 expected.append(transfer_matrix_tally(shape).total)
-        assert engine._failed_layers(final_shape, axis, n[axis]) == expected
+        survivors, _ = engine._window_layer_values(
+            final_shape, axis, Fraction(1, 2), n[axis]
+        )
+        cells = final_shape.volume // stop
+        assert [
+            2 ** (t * cells) - v for t, v in enumerate(survivors, n[axis])
+        ] == expected
         assert count_sequence(n, s, axis, stop) == expected
 
     @staticmethod
     def _count_paths(monkeypatch):
-        # record which of the two paths count_sequence takes
+        # record which of the two paths count_sequence takes: one value
+        # scan of the final extent, or each extent by its count route
         paths = []
-        for name in ("_failed_layers", "_failed_count"):
+        for name in ("_window_layer_values", "_reliability"):
             def spy(*args, _name=name, _original=getattr(engine, name)):
                 paths.append(_name)
                 return _original(*args)
@@ -418,23 +427,39 @@ class TestCounts:
         return paths
 
     def test_ladder_sequence_is_one_scan(self, monkeypatch):
-        # [2,2] -> [2,24]x[2,2]: the scan of the final shape is priced
-        # below the sum of the 23 extents' own routes, although that
-        # shape's polynomial takes the window-layer form
-        assert choose_route(validate_shape([2, 24], [2, 2])).axis == 1
+        # [2,2] -> [2,24]x[2,2]: the value scan of the final shape along
+        # axis 2 is priced below the sum of the extents' own count routes
         paths = self._count_paths(monkeypatch)
-        counts = count_sequence([2, 2], [2, 2], 1, 24)
-        assert paths == ["_failed_layers"] and len(counts) == 23
+        stats = {}
+        counts = count_sequence([2, 2], [2, 2], 1, 24, stats=stats)
+        assert paths == ["_window_layer_values"] and len(counts) == 23
+        assert stats["route"].payload == VALUE and stats["route"].axis == 1
+        assert stats["states"] == 2
 
     def test_per_extent_sequence(self, monkeypatch):
-        # growing axis 0 of [2,25]x[2,2]: a scan along axis 0 holds 3^25
-        # states, so each extent is counted on its own
+        # growing axis 0 of [2,25]x[2,2]: a window layer along axis 0 holds
+        # 24 windows, so each extent is counted on its own, along axis 1
         expected = [
             count_sequence([m, 2], [2, 2], 1, 25)[-1] for m in (2, 3)
         ]
         paths = self._count_paths(monkeypatch)
-        assert count_sequence([2, 25], [2, 2], 0, 3) == expected
-        assert paths == ["_failed_count", "_failed_count"]
+        stats = {}
+        assert count_sequence([2, 25], [2, 2], 0, 3, stats=stats) == expected
+        assert paths == ["_reliability", "_window_layer_values"] * 2
+        assert [run["route"].axis for run in stats["routes"]] == [1, 1]
+
+    def test_count_reports_its_route(self):
+        stats = {}
+        shape = validate_shape([4, 22], [4, 3])
+        failed_count(shape, stats=stats)
+        assert stats["route"] == choose_route(shape, q=Fraction(1, 2))
+        assert stats["route"].payload == VALUE and stats["route"].axis == 1
+        assert stats["states"] <= stats["route"].states
+        # [3,4,5]x[2,2,2]: the polynomial along axis 3 is priced below the
+        # value scan, and reports no states
+        stats = {}
+        failed_count(validate_shape([3, 4, 5], [2, 2, 2]), stats=stats)
+        assert stats == {"route": choose_route(validate_shape([3, 4, 5], [2, 2, 2]))}
 
 
 class TestTransferMatrix:
@@ -475,7 +500,6 @@ class TestTransferMatrix:
         expected = brute_force_tally(shape).f
         for axis in range(shape.d):
             assert self._scan_tally(shape, axis) == expected, axis
-            assert self._scan_count(shape, axis) == sum(expected), axis
 
     @pytest.mark.parametrize("n", [[4, 4], [3, 5]])
     def test_every_scan_axis_series_closed_form(self, n):
@@ -485,7 +509,6 @@ class TestTransferMatrix:
         expected = tuple(math.comb(volume, k) if k else 0 for k in range(volume + 1))
         for axis in range(shape.d):
             assert self._scan_tally(shape, axis) == expected
-            assert self._scan_count(shape, axis) == sum(expected)
 
     @staticmethod
     def _scan_tally(shape, axis):
@@ -495,13 +518,6 @@ class TestTransferMatrix:
             math.comb(shape.volume, w) - int(g)
             for w, g in enumerate(survivors)
         )
-
-    @staticmethod
-    def _scan_count(shape, axis):
-        # the count payload: one surviving count per state, no weight axis
-        *_, state = _survivor_layers(shape, axis, weights=False)
-        assert state.shape[-1] == 1
-        return 2**shape.volume - int(state.sum())
 
     def test_nonfailable(self):
         shape = validate_shape([3, 2], [2, 3])
@@ -584,6 +600,95 @@ class TestWindowLayerScan:
         assert not support.flags.writeable
 
 
+class TestWindowLayerValues:
+    # the window-layer scan with one exact value per state, merged by
+    # suffix unions: b^N R(a/b) along every axis, and the counts at 1/2
+
+    QS = (Fraction(1, 10), Fraction(99, 100), Fraction(0.38))
+
+    @staticmethod
+    def _value(shape, axis, q):
+        (value,), reached = engine._window_layer_values(shape, axis, q, shape.n[axis])
+        assert 1 <= reached
+        return Fraction(value, q.denominator**shape.volume)
+
+    def test_every_axis_of_the_catalog(self):
+        for shape in catalog():
+            poly = inclusion_exclusion_polynomial(shape)
+            count = failed_count(shape)
+            assert count == poly.eval_rational(Fraction(1, 2)) * 2**shape.volume
+            for axis in range(shape.d):
+                half = self._value(shape, axis, Fraction(1, 2))
+                assert 2**shape.volume * (1 - half) == count, (shape, axis)
+                for q in self.QS:
+                    assert 1 - self._value(shape, axis, q) == poly.eval_rational(q), (
+                        shape, axis, q,
+                    )
+
+    def test_one_dim_recursion(self):
+        points = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
+        for k in range(1, 6):
+            for n in range(1, 61):
+                shape = validate_shape([n], [k])
+                for q in points:
+                    assert self._value(shape, 0, q) == one_dim_recursion(k, n, q), (
+                        k, n, q,
+                    )
+
+    @pytest.mark.parametrize("n", [[2, 70], [8, 16]])
+    def test_past_the_int64_bound(self, n):
+        # |E| = 69 and 105, along the long axis; [8,40]x[2,2] takes 11 s by
+        # the transfer matrix
+        shape = validate_shape(n, [2, 2])
+        tally = transfer_matrix_tally(shape)
+        half = self._value(shape, 1, Fraction(1, 2))
+        assert 2**shape.volume * (1 - half) == tally.total
+        q = Fraction(19, 50)
+        assert 1 - self._value(shape, 1, q) == tally_to_polynomial(tally).eval_rational(q)
+
+    def test_states_merge_by_suffix_unions(self):
+        # [10,10]x[3,3]: 48 footprints a window layer, two held, so 2304
+        # tuples of footprints; their chains of suffix unions number 569
+        shape = validate_shape([10, 10], [3, 3])
+        _, reached = engine._window_layer_values(shape, 0, Fraction(1, 2), 10)
+        assert reached == 569
+        assert engine._window_layer_value_cost(shape, 0, 100).states == 48**2
+
+    def test_nonfailable(self):
+        # no window fits: R = 1 at every extent
+        shape = validate_shape([3, 2], [2, 3])
+        for axis in range(shape.d):
+            values, _ = engine._window_layer_values(shape, axis, Fraction(1, 3), 1)
+            cells = shape.volume // shape.n[axis]
+            assert values == [3 ** (t * cells) for t in range(1, shape.n[axis] + 1)]
+
+    def test_exact_reliability(self):
+        # the route is the value scan or a polynomial by predicted cost;
+        # either gives eval_rational's value
+        q = Fraction(19, 50)
+        for n, s, payload in [([4, 5], [2, 2], VALUE), ([4, 22], [4, 3], VALUE),
+                              ([3, 4, 5], [2, 2, 2], POLYNOMIAL), ([5, 5], [3, 3], POLYNOMIAL)]:
+            shape = validate_shape(n, s)
+            stats = {}
+            value = engine.exact_reliability(shape, q, stats=stats)
+            assert value == reliability_polynomial(shape).eval_rational(q), n
+            assert stats["route"] == choose_route(shape, q=q)
+            assert stats["route"].payload == payload, n
+            assert ("states" in stats) == (payload == VALUE)
+
+    def test_reaches_past_the_polynomial(self):
+        # [12,12]x[3,3]: no polynomial fits, the value scan does; its axes
+        # agree
+        shape = validate_shape([12, 12], [3, 3])
+        with pytest.raises(ResourceLimitError):
+            choose_route(shape)
+        stats = {}
+        count = failed_count(shape, stats=stats)
+        assert stats["route"].payload == VALUE and stats["states"] == 2273
+        other = 1 - stats["route"].axis
+        assert 2**144 * (1 - self._value(shape, other, Fraction(1, 2))) == count
+
+
 class TestCostModel:
     # the cost model predicts each form's time within a wide band of the
     # measured median at one worker; the host's speed drifts up to 1.6x
@@ -630,7 +735,7 @@ class TestRouting:
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
          ([4, 22], [4, 3], INCLUSION_EXCLUSION),
          ([5, 5], [2, 2], INCLUSION_EXCLUSION), ([15], [2], TRANSFER_MATRIX),
-         ([9], [2], INCLUSION_EXCLUSION), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
+         ([9], [2], TRANSFER_MATRIX), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
          # 27 windows: no cap on |E| beyond memory
          ([4, 21], [2, 13], INCLUSION_EXCLUSION),
          ([4, 4, 4], [2, 2, 2], INCLUSION_EXCLUSION)],
@@ -642,10 +747,10 @@ class TestRouting:
         "n,s,axis",
         [([3, 4, 5], [2, 2, 2], 2), ([4, 22], [4, 3], 1), ([2, 5, 6], [2, 2, 2], 2),
          ([4, 4, 4], [2, 2, 2], 0), ([4, 21], [2, 13], 0),
-         ([4, 5], [2, 2], None), ([9], [2], None),
+         ([4, 5], [2, 2], 0), ([5, 5], [3, 3], None),
          # 110 footprints a window layer, four layers held: the rows do
          # not fit, the sweep's 2^27 entries do
-         ([6, 6, 6], [4, 4, 4], None)],
+         ([6, 6, 6], [4, 4, 4], None), ([4, 4], [2, 2], 0)],
     )
     def test_inclusion_exclusion_form(self, n, s, axis):
         # the window-layer form scans an axis; the whole-set sweep has none
@@ -653,11 +758,11 @@ class TestRouting:
         assert (route.route, route.axis) == (INCLUSION_EXCLUSION, axis)
 
     def test_bytes_count_only_the_chunks_in_flight(self):
-        # 4096 subsets make one block, run serially at any worker count
+        # 512 subsets make one block, run serially at any worker count
         config = EngineConfig(workers=100_000)
-        shape = validate_shape([4, 5], [2, 2])
+        shape = validate_shape([5, 5], [3, 3])
         cost = choose_route(shape, config=config)
-        assert cost.route == INCLUSION_EXCLUSION
+        assert (cost.route, cost.axis) == (INCLUSION_EXCLUSION, None)
         assert cost.nbytes == choose_route(shape).nbytes
 
     def test_bytes_count_one_block_per_core(self, monkeypatch):
@@ -714,14 +819,41 @@ class TestRefusesBeforeAllocating:
 
     @pytest.mark.parametrize(
         "count",
-        [lambda: failed_count(validate_shape([12, 12], [3, 3])),
-         lambda: count_sequence([12, 1], [3, 3], 1, 12)],
+        [lambda: failed_count(validate_shape([48, 48], [3, 3])),
+         lambda: count_sequence([48, 1], [3, 3], 1, 48)],
         ids=["failed_count", "count_sequence"],
     )
     def test_counts(self, count):
-        # neither route fits [12,12]x[3,3]; the counts refuse as the
-        # polynomial does
+        # no route fits [48,48]x[3,3]: a window layer holds 46 windows
+        # along either axis, so even the value scan's support does not
         assert self._peak_bytes_while_refused(count) < 1 << 20
+
+    def test_counts_name_the_value_scan(self):
+        shape = validate_shape([48, 48], [3, 3])
+        with pytest.raises(ResourceLimitError) as exc:
+            failed_count(shape)
+        nbytes = engine._window_layer_value_cost(shape, 0, shape.volume).nbytes
+        assert f"one value per state, predicts" in str(exc.value)
+        assert f"{nbytes:.3g} bytes" in str(exc.value)
+
+    def test_value_scan(self):
+        # 2^46 subsets of one window layer: the check runs before the
+        # support is counted
+        shape = validate_shape([48, 48], [3, 3])
+        peak = self._peak_bytes_while_refused(
+            lambda: engine._window_layer_values(shape, 0, Fraction(1, 2), 48)
+        )
+        assert peak < 1 << 20
+
+    def test_value_scan_within_a_low_budget(self, monkeypatch):
+        # the states are checked before any is built
+        shape = validate_shape([10, 10], [3, 3])
+        nbytes = engine._window_layer_value_cost(shape, 0, shape.volume).nbytes
+        monkeypatch.setattr(engine, "memory_budget", lambda: nbytes / 2)
+        peak = self._peak_bytes_while_refused(
+            lambda: engine._window_layer_values(shape, 0, Fraction(1, 2), 10)
+        )
+        assert peak < 1 << 20
 
     def test_window_layer_scan(self):
         # 112 footprints a window layer, two layers held: 1.4e6 rows of 145
