@@ -21,9 +21,8 @@ from fractions import Fraction
 
 from . import __version__
 from .engine import (
-    VALUE,
+    POLYNOMIAL,
     RouteCost,
-    choose_route,
     count_sequence,
     exact_reliability,
     failed_count,
@@ -89,8 +88,9 @@ def _shape_from_args(args) -> SystemShape:
 
 
 def _route_json(route: RouteCost, reached: int | None) -> dict:
-    """A route as the envelope reports it; a value scan adds the states it
-    was priced with and the most it held."""
+    """A route as the envelope reports it; a scan with one value or packed
+    polynomial per state adds the states it was priced with and the most it
+    held."""
     out = {
         "name": route.route,
         "axis": None if route.axis is None else route.axis + 1,
@@ -98,7 +98,7 @@ def _route_json(route: RouteCost, reached: int | None) -> dict:
         "seconds": route.seconds,
         "bytes": route.nbytes,
     }
-    if route.payload == VALUE:
+    if route.payload != POLYNOMIAL:
         out["states"] = {"predicted": route.states, "reached": reached}
     return out
 
@@ -142,15 +142,15 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_poly(args) -> int:
     started = time.perf_counter()
     shape = _shape_from_args(args)
+    stats: dict = {}
     poly = (
-        failure_polynomial(shape)
+        failure_polynomial(shape, stats=stats)
         if args.target == "p"
-        else reliability_polynomial(shape)
+        else reliability_polynomial(shape, stats=stats)
     )
     if args.format == "json":
         result = polynomial_to_json(shape, poly)
-        run = _run_json({"route": choose_route(shape)})
-        env = _envelope("poly", shape, "exact", result, started, run)
+        env = _envelope("poly", shape, "exact", result, started, _run_json(stats))
         print(json.dumps(env))
     else:
         print(format_poly_text(poly))
@@ -161,7 +161,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     shape = _shape_from_args(args)
     q = _parse_q(args.q)
-    stats: dict = {}  # the exact value's run; a float's is the polynomial's
+    stats: dict = {}  # the exact value's run, or the polynomial's
     if args.exact:
         value = exact_reliability(shape, q, stats=stats)
         if args.target == "p":
@@ -169,14 +169,14 @@ def cmd_eval(args) -> int:
         rendered: object = str(value)
     else:
         poly = (
-            failure_polynomial(shape)
+            failure_polynomial(shape, stats=stats)
             if args.target == "p"
-            else reliability_polynomial(shape)
+            else reliability_polynomial(shape, stats=stats)
         )
         rendered = poly.eval_float(float(q))
     if args.format == "json":
         result = {"q": str(q) if args.exact else float(q), "value": rendered}
-        run = _run_json(stats or {"route": choose_route(shape)})
+        run = _run_json(stats)
         print(json.dumps(_envelope("eval", shape, "exact", result, started, run)))
     else:
         print(rendered)

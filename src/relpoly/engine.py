@@ -31,7 +31,12 @@ The window-layer scan has a second payload, :func:`_window_layer_values`:
 one exact integer per state in place of a polynomial row, which gives
 ``b^N R(a/b)`` at one rational q = a/b.  Its states are chains of suffix
 unions of the held footprints, so tuples that cover the coming cell layers
-alike merge.  A failed count is ``2^N`` less its value at q = 1/2.
+alike merge.  A failed count is ``2^N`` less its value at q = 1/2.  The
+same scan at ``q = 2^B`` gives the whole polynomial, packed
+(:func:`_packed_polynomial`): every coefficient of R is a sum of at most
+``2^|E|`` signs, so with ``B = |E| + 2`` bits, rounded up to whole bytes,
+the integer ``R(2^B)`` holds one coefficient per B-bit digit, and a
+biased byte read decodes it.
 
 **Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
 configurations by weight in one scan along an axis ``a`` (finite Markov
@@ -45,8 +50,9 @@ so each cell costs a few whole-array slice operations over all
 failed tally is ``C(N, k)`` minus the survivors, and the polynomial
 follows from it as in the oracle.
 
-:func:`failure_polynomial` takes whichever of the three (the sweep, the
-window-layer scan along its best axis, the transfer matrix)
+:func:`failure_polynomial` takes whichever of four (the sweep, the
+window-layer scan with rows of coefficients or with one packed integer per
+state, each along its best axis, and the transfer matrix)
 :func:`choose_route` predicts to be fastest among those whose predicted
 peak memory fits in half the machine's physical memory.  A value at one q
 (:func:`failed_count`, :func:`count_sequence`, :func:`exact_reliability`)
@@ -66,6 +72,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +94,7 @@ from .oracle import WeightTally, tally_to_polynomial
 
 __all__ = [
     "INCLUSION_EXCLUSION",
+    "PACKED",
     "POLYNOMIAL",
     "TRANSFER_MATRIX",
     "VALUE",
@@ -113,10 +121,12 @@ Offsets = tuple[int, ...]
 INCLUSION_EXCLUSION = "inclusion-exclusion"
 TRANSFER_MATRIX = "transfer-matrix"
 
-#: Payloads, as reported by :class:`RouteCost`: the whole polynomial, or
-#: one exact integer per scan state, read at one q.
+#: Payloads, as reported by :class:`RouteCost`: the whole polynomial as
+#: rows of coefficients, one exact integer per scan state read at one q,
+#: or the whole polynomial packed into one integer per scan state.
 POLYNOMIAL = "polynomial"
 VALUE = "value"
+PACKED = "packed"
 
 # Counts are values at q = 1/2: 2^N R(1/2) configurations survive.
 _HALF = Fraction(1, 2)
@@ -145,6 +155,7 @@ _BLOCK_BYTES_PER_ENTRY = 16
 # zeta pass within a word moves the lanes masked here (the low half of each
 # group of 2 * shift bits) up by ``shift`` bits and adds them.
 _WORD = np.dtype("<u8")
+_UINT8, _UINT16, _UINT32 = map(np.dtype, (np.uint8, np.uint16, np.uint32))
 _LOW_LANES = {
     shift: np.uint64(sum(((1 << shift) - 1) << g for g in range(0, 64, 2 * shift)))
     for shift in (8, 16, 32)
@@ -215,7 +226,11 @@ _LAYER_SECONDS_PER_OBJECT_ENTRY = 2.7e-8
 # step and 0.15 ns per step and bit, each triple within 0.61-1.49x.  Priced
 # with the state bound instead, merged scans are over-predicted, 5.5x on
 # [12,12]x[3,3].  A dict entry peaks at 90-110 bytes besides its value
-# (tracemalloc, two dicts alive); twice that is charged.
+# (tracemalloc, two dicts alive); twice that is charged.  The packed scan
+# is priced with the same constants at N * B bits: within 0.85-1.5x of the
+# medians of the 16 shapes with |E| < 48 that it is picked for, at one
+# worker, and 7.5x above on [10,10]x[3,3], whose 2,304 bounded states merge
+# to 569.
 _VALUE_SECONDS_PER_CALL = 3.1e-5
 _VALUE_SECONDS_PER_LAYER = 1.6e-6
 _VALUE_SECONDS_PER_STEP = 2.3e-7
@@ -351,9 +366,12 @@ class RouteCost(NamedTuple):
     ``axis`` (0-based) is the axis a scan walks: the transfer matrix's, or
     the window-layer form of inclusion-exclusion's.  It is None for the
     inclusion-exclusion sweep over all window subsets.  ``payload`` says
-    what the route computes: the whole polynomial, or (``VALUE``) one exact
-    integer per scan state, for one q; ``states`` is then the bound on the
-    states it was priced with.
+    what the route computes: the whole polynomial as rows of coefficients
+    (``POLYNOMIAL``); one exact integer per scan state, for one q
+    (``VALUE``); or the whole polynomial packed into one integer per scan
+    state, the value at ``q = 2^B`` with B bits a coefficient (``PACKED``,
+    see :func:`_packed_polynomial`).  For the last two ``states`` is the
+    bound on the states the scan was priced with.
     """
 
     route: str
@@ -367,10 +385,15 @@ class RouteCost(NamedTuple):
         where = "" if self.axis is None else f" along axis {self.axis + 1}"
         if self.payload == VALUE:
             where += ", one value per state,"
+        elif self.payload == PACKED:
+            where += ", one packed polynomial per state,"
         return (
             f"{self.route}{where} predicts {self.seconds:.3g} s and "
             f"{self.nbytes:.3g} bytes"
         )
+
+
+_SECONDS = operator.attrgetter("seconds")
 
 
 def memory_budget() -> float:
@@ -386,18 +409,21 @@ def memory_budget() -> float:
         return float(sys.maxsize)
 
 
-def _within_budget(subject: str, costs: Sequence[RouteCost]) -> list[RouteCost]:
+def _within_budget(
+    shape: SystemShape, costs: Sequence[RouteCost], what: str = "instance"
+) -> list[RouteCost]:
     """The routes whose predicted bytes fit :func:`memory_budget`.
 
-    Raises :class:`~relpoly.model.ResourceLimitError`, naming every route's
-    prediction, the budget and the Monte Carlo fallback, when none does.
+    Raises :class:`~relpoly.model.ResourceLimitError`, naming ``what`` and
+    the shape, every route's prediction, the budget and the Monte Carlo
+    fallback, when none does.
     """
     budget = memory_budget()
     fitting = [c for c in costs if c.nbytes <= budget]
     if fitting:
         return fitting
     raise ResourceLimitError(
-        f"{subject}: {'; '.join(c.describe() for c in costs)}, beyond the "
+        f"{what} {shape}: {'; '.join(c.describe() for c in costs)}, beyond the "
         f"memory budget of {budget:.3g} bytes. Fall back to the Monte Carlo "
         "estimator (CLI subcommand 'mc')."
     )
@@ -411,13 +437,13 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _zeta_dtype(covered_cells: int) -> type:
+def _zeta_dtype(covered_cells: int) -> np.dtype:
     """Narrowest unsigned dtype that holds every zeta table value."""
-    if covered_cells <= np.iinfo(np.uint8).max:
-        return np.uint8
-    if covered_cells <= np.iinfo(np.uint16).max:
-        return np.uint16
-    return np.uint32
+    if covered_cells <= 0xFF:
+        return _UINT8
+    if covered_cells <= 0xFFFF:
+        return _UINT16
+    return _UINT32
 
 
 def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> RouteCost:
@@ -426,9 +452,9 @@ def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> Route
     block = min(subsets, 1 << _BLOCK_BITS)
     blocks = subsets / block
     threads = _pool_threads(config.resolved_workers(), blocks)
-    key_bytes = np.dtype(_zeta_dtype(2 * volume + 1)).itemsize
+    key_bytes = _zeta_dtype(2 * volume + 1).itemsize
     nbytes = (
-        subsets * np.dtype(_zeta_dtype(volume)).itemsize  # the table
+        subsets * _zeta_dtype(volume).itemsize  # the table
         + block * (key_bytes + threads * _BLOCK_BYTES_PER_ENTRY)
         + blocks * 16 * (volume + 1)  # one int64 tally per block
     )
@@ -518,9 +544,21 @@ def _value_bits(shape: SystemShape, q: Fraction) -> float:
     return shape.volume * math.log2(max(abs(q.numerator), q.denominator, 2))
 
 
-def _window_layer_value_cost(shape: SystemShape, axis: int, bits: float) -> RouteCost:
+def _packed_digit_bits(shape: SystemShape) -> int:
+    """Bits B of one coefficient of R in ``R(2^B)``: ``|E| + 2``, rounded up
+    to whole bytes.
+
+    A coefficient of R sums at most ``2^|E|`` signs, so it lies in
+    ``[-2^|E|, 2^|E|]``, within the signed range of ``|E| + 2`` bits.
+    """
+    return -(-(shape.num_windows + 2) // 8) * 8
+
+
+def _window_layer_value_cost(
+    shape: SystemShape, axis: int, bits: float, payload: str = VALUE
+) -> RouteCost:
     """The cost along ``axis`` of the window-layer scan with one value of
-    about ``bits`` bits per state.
+    about ``bits`` bits per state; ``payload`` names what the value is.
 
     Its states are chains of suffix unions, merged as they are reached, so
     their number is not known before the scan.  It is priced with a bound:
@@ -535,7 +573,8 @@ def _window_layer_value_cost(shape: SystemShape, axis: int, bits: float) -> Rout
     n_a, s_a = shape.n[axis], shape.s[axis]
     cells = shape.volume // n_a
     if cells > 64:
-        return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis, VALUE, math.inf)
+        inf = math.inf
+        return RouteCost(INCLUSION_EXCLUSION, inf, inf, axis, payload, inf)
     per_layer, u = _layer_footprints(shape, axis)
     states = min(_power(u, s_a - 1), _power(s_a, cells))
     steps = states * (u + cells + 1)
@@ -547,11 +586,11 @@ def _window_layer_value_cost(shape: SystemShape, axis: int, bits: float) -> Rout
         _VALUE_SECONDS_PER_LAYER
         + steps * (_VALUE_SECONDS_PER_STEP + bits * _VALUE_SECONDS_PER_STEP_BIT)
     )
-    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, axis, VALUE, states)
+    return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, axis, payload, states)
 
 
 def _fastest(costs: Iterable[RouteCost]) -> RouteCost:
-    return min(costs, key=lambda c: c.seconds)
+    return min(costs, key=_SECONDS)
 
 
 def choose_route(
@@ -566,9 +605,10 @@ def choose_route(
     The polynomial's candidates are the inclusion-exclusion sweep, the
     transfer matrix along its axis of fewest states and, for failable
     shapes, the window-layer form of inclusion-exclusion along its fastest
-    axis.  A value at a rational ``q`` can also take the window-layer scan
-    with one value per state (payload ``VALUE``) along its fastest axis;
-    counts are values at q = 1/2 (:func:`failed_count`,
+    axis, with rows of coefficients and with one packed integer per state
+    (payload ``PACKED``).  A value at a rational ``q`` can also take the
+    window-layer scan with one value per state (payload ``VALUE``) along
+    its fastest axis; counts are values at q = 1/2 (:func:`failed_count`,
     :func:`exact_reliability`).  Among the candidates that can run, the one
     with the lowest predicted time.  Raises
     :class:`~relpoly.model.ResourceLimitError` with every candidate's
@@ -577,13 +617,18 @@ def choose_route(
     config = config or _DEFAULT_CONFIG
     costs = [_inclusion_exclusion_cost(shape, config), _transfer_matrix_cost(shape)]
     if shape.failable:
-        costs.append(_fastest(_window_layer_cost(shape, a) for a in range(shape.d)))
+        axes = range(shape.d)
+        costs.append(_fastest(_window_layer_cost(shape, a) for a in axes))
+        packed = shape.volume * _packed_digit_bits(shape)
+        costs.append(
+            _fastest(_window_layer_value_cost(shape, a, packed, PACKED) for a in axes)
+        )
         if q is not None:
             bits = _value_bits(shape, Fraction(q))
             costs.append(
-                _fastest(_window_layer_value_cost(shape, a, bits) for a in range(shape.d))
+                _fastest(_window_layer_value_cost(shape, a, bits) for a in axes)
             )
-    return _fastest(_within_budget(f"no exact route fits {shape}", costs))
+    return _fastest(_within_budget(shape, costs, "no exact route fits"))
 
 
 # -- inclusion-exclusion: the subset sweep ------------------------------------
@@ -593,10 +638,7 @@ def _checked_table(shape: SystemShape, config: EngineConfig) -> CellMaskTable | 
     """Cell-mask table behind the memory check; None for non-failable shapes."""
     if shape.num_windows == 0:
         return None
-    _within_budget(
-        f"instance has {shape.num_windows} window placements",
-        [_inclusion_exclusion_cost(shape, config)],
-    )
+    _within_budget(shape, [_inclusion_exclusion_cost(shape, config)])
     return build_cell_mask_table(shape)
 
 
@@ -636,7 +678,7 @@ def _zeta_table(table: CellMaskTable) -> np.ndarray:
     Holds at least one word, zero past ``2^num_windows``.
     """
     m = table.num_windows
-    dtype = np.dtype(_zeta_dtype(table.covered_cells))
+    dtype = _zeta_dtype(table.covered_cells)
     f = np.zeros(max(1 << m, _WORD.itemsize // dtype.itemsize), dtype=dtype)
     for mask, mult in table.groups:
         f[mask] = mult
@@ -793,7 +835,7 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     """
     if not shape.failable:
         return IntPolynomial.zero()
-    _within_budget(f"instance {shape}", [_window_layer_cost(shape, axis)])
+    _within_budget(shape, [_window_layer_cost(shape, axis)])
     cells = shape.volume // shape.n[axis]
     held = shape.s[axis] - 1
     window_layers = shape.n[axis] - held
@@ -875,10 +917,8 @@ def _window_layer_values(
     in half the physical memory.
     """
     a, b = q.numerator, q.denominator
-    _within_budget(
-        f"instance {shape}",
-        [_window_layer_value_cost(shape, axis, _value_bits(shape, q))],
-    )
+    bits = _value_bits(shape, q)
+    _within_budget(shape, [_window_layer_value_cost(shape, axis, bits)])
     cells = shape.volume // shape.n[axis]
     held = shape.s[axis] - 1
     window_layers = shape.n[axis] - held
@@ -903,6 +943,35 @@ def _window_layer_values(
         if t >= start:
             values.append(states.get(0, 0))
     return values, reached
+
+
+def _packed_polynomial(shape: SystemShape, axis: int) -> tuple[IntPolynomial, int]:
+    """Exact failure polynomial of a failable shape by the window-layer
+    scan with one value per state along ``axis``, at ``q = 2^B``; and the
+    most states the scan held.
+
+    Every coefficient of R fits the signed range of B bits
+    (:func:`_packed_digit_bits`), so the one integer ``R(2^B)`` holds them
+    all, one B-bit digit each (Kronecker substitution), and B is a whole
+    number of bytes.  Adding ``2^(B-1)`` to every digit makes each
+    nonnegative and cancels every borrow, so the digits are read off the
+    bytes of the sum, ``2^(B-1)`` less each.  The decode is linear in
+    ``N * B``.
+    """
+    digit = _packed_digit_bits(shape)
+    (value,), reached = _window_layer_values(
+        shape, axis, Fraction(1 << digit), shape.n[axis]
+    )
+    width, half = digit // 8, 1 << (digit - 1)
+    terms = shape.volume + 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * terms, "little")
+    data = (value + bias).to_bytes(width * terms, "little")
+    coeffs = [  # of P = 1 - R
+        half - int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
+    ]
+    coeffs[0] += 1
+    return IntPolynomial(enumerate(coeffs)), reached
 
 
 # -- transfer matrix: the layer scan ------------------------------------------
@@ -976,7 +1045,7 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
     if not shape.failable:
         return WeightTally(shape, (0,) * (volume + 1))
     cost = _transfer_matrix_cost(shape)
-    _within_budget(f"instance {shape}", [cost])
+    _within_budget(shape, [cost])
     for state in _survivor_layers(shape, cost.axis):
         pass  # only the last layer is read
     survivors = state.sum(axis=tuple(range(state.ndim - 1)))
@@ -991,24 +1060,28 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
 
 def _failure_polynomial(
     shape: SystemShape, route: RouteCost, config: EngineConfig | None
-) -> IntPolynomial:
-    """The failure polynomial by ``route``, as :func:`choose_route` gave it."""
+) -> tuple[IntPolynomial, int | None]:
+    """The failure polynomial by ``route``, as :func:`choose_route` gave it,
+    and the most states its packed scan held (None for the other routes)."""
+    if route.payload == PACKED:
+        return _packed_polynomial(shape, route.axis)
     if route.route == TRANSFER_MATRIX:
-        return tally_to_polynomial(transfer_matrix_tally(shape))
+        return tally_to_polynomial(transfer_matrix_tally(shape)), None
     if route.axis is not None:
-        return _window_layer_polynomial(shape, route.axis)
-    return inclusion_exclusion_polynomial(shape, config=config)
+        return _window_layer_polynomial(shape, route.axis), None
+    return inclusion_exclusion_polynomial(shape, config=config), None
 
 
 def _reliability(
     shape: SystemShape, q: Fraction, route: RouteCost, config: EngineConfig | None
 ) -> tuple[Fraction, int | None]:
     """R at ``q`` by ``route``, as :func:`choose_route` gave it, and the
-    most states its value scan held (None for a polynomial)."""
+    most states its scan held (None for rows of coefficients)."""
     if route.payload == VALUE:
         (value,), reached = _window_layer_values(shape, route.axis, q, shape.n[route.axis])
         return Fraction(value, q.denominator**shape.volume), reached
-    return 1 - _failure_polynomial(shape, route, config).eval_rational(q), None
+    poly, reached = _failure_polynomial(shape, route, config)
+    return 1 - poly.eval_rational(q), reached
 
 
 def _failed(shape: SystemShape, reliability: Fraction) -> int:
@@ -1017,28 +1090,41 @@ def _failed(shape: SystemShape, reliability: Fraction) -> int:
 
 
 def _record(route: RouteCost, reached: int | None) -> dict:
-    """What one run reports: its route and, for a value scan, the most
-    states it held."""
+    """What one run reports: its route and, for a scan with one value or
+    packed polynomial per state, the most states it held."""
     return {"route": route} if reached is None else {"route": route, "states": reached}
 
 
 def failure_polynomial(
-    shape: SystemShape, *, config: EngineConfig | None = None
+    shape: SystemShape,
+    *,
+    config: EngineConfig | None = None,
+    stats: dict | None = None,
 ) -> IntPolynomial:
     """Exact failure probability P as a polynomial in q.
 
     Takes the route :func:`choose_route` picks; every route gives the same
     polynomial.  Returns the zero polynomial for non-failable shapes.
     Raises :class:`~relpoly.model.ResourceLimitError` when no route fits.
+    A ``stats`` dict receives the ``"route"`` taken and, for the packed
+    scan, the most ``"states"`` it held.
     """
-    return _failure_polynomial(shape, choose_route(shape, config=config), config)
+    route = choose_route(shape, config=config)
+    poly, reached = _failure_polynomial(shape, route, config)
+    if stats is not None:
+        stats.update(_record(route, reached))
+    return poly
 
 
 def reliability_polynomial(
-    shape: SystemShape, *, config: EngineConfig | None = None
+    shape: SystemShape,
+    *,
+    config: EngineConfig | None = None,
+    stats: dict | None = None,
 ) -> IntPolynomial:
-    """Exact reliability R = 1 - P."""
-    return 1 - failure_polynomial(shape, config=config)
+    """Exact reliability R = 1 - P; ``stats`` as :func:`failure_polynomial`
+    fills it."""
+    return 1 - failure_polynomial(shape, config=config, stats=stats)
 
 
 def failed_count(
@@ -1069,8 +1155,8 @@ def exact_reliability(
     Takes the route :func:`choose_route` picks for a value at ``q``: the
     window-layer scan with one value per state, which builds no
     polynomial, or a polynomial evaluated at ``q``.  A ``stats`` dict
-    receives the ``"route"`` taken and, for a value scan, the most
-    ``"states"`` it held.
+    receives the ``"route"`` taken and, for a scan with one value or packed
+    polynomial per state, the most ``"states"`` it held.
     """
     q = Fraction(q)
     route = choose_route(shape, q=q, config=config)

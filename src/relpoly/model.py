@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -51,7 +52,9 @@ class SystemShape:
     Instances are immutable and safe to share between threads.  Shapes where
     some ``s_r > n_r`` are allowed and classified non-failable: no window
     fits, so the failure probability is identically zero.  Build shapes via
-    :func:`validate_shape`, which checks the invariants.
+    :func:`validate_shape`, which checks the invariants.  ``volume`` and
+    ``num_windows`` are computed once per instance; equality and hashing
+    see the fields alone.
     """
 
     n: tuple[int, ...]
@@ -62,7 +65,7 @@ class SystemShape:
         """Number of dimensions."""
         return len(self.n)
 
-    @property
+    @cached_property
     def volume(self) -> int:
         """Total cell count N = n_1 * ... * n_d."""
         return math.prod(self.n)
@@ -72,7 +75,7 @@ class SystemShape:
         """Cells in a single window, s_1 * ... * s_d."""
         return math.prod(self.s)
 
-    @property
+    @cached_property
     def num_windows(self) -> int:
         """Number of window placements, prod(max(0, n_r - s_r + 1))."""
         return math.prod(max(0, nr - sr + 1) for nr, sr in zip(self.n, self.s))
@@ -80,7 +83,7 @@ class SystemShape:
     @property
     def failable(self) -> bool:
         """True iff at least one window fits (all s_r <= n_r)."""
-        return all(sr <= nr for nr, sr in zip(self.n, self.s))
+        return self.num_windows > 0
 
     def permuted(self, order: Sequence[int]) -> "SystemShape":
         """Shape with the same axis permutation applied to n and s."""

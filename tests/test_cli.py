@@ -74,13 +74,13 @@ class TestPoly:
         assert code == 2 and "error" in err
 
     def test_resource_cap_exit_3_mentions_mc(self, capsys):
-        code, _, err = run(capsys, "poly", "--n", "12,12", "--s", "3,3")
+        code, _, err = run(capsys, "poly", "--n", "48,48", "--s", "3,3")
         assert code == 3 and "mc" in err
 
     def test_memory_error_exit_3_mentions_mc(self, capsys, monkeypatch):
         import relpoly.cli as cli_module
 
-        def out_of_memory(shape):
+        def out_of_memory(shape, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(cli_module, "failure_polynomial", out_of_memory)
@@ -134,16 +134,19 @@ class TestEval:
 
 class TestRouteInEnvelope:
     # the route is the one that ran, as choose_route prices it, with a
-    # 1-based axis as --vary takes it; a value scan adds its states, as
-    # predicted from their bound and as reached
+    # 1-based axis as --vary takes it; a scan with one value or packed
+    # polynomial per state adds its states, as predicted from their bound
+    # and as reached
 
     @pytest.mark.parametrize(
         "argv,name,axis",
         [(["poly", "--n", "3,4,5", "--s", "2,2,2"], "inclusion-exclusion", 3),
-         (["eval", "--n", "4,5", "--s", "2,2", "--q", "0.3"],
+         (["eval", "--n", "6,6", "--s", "2,2", "--q", "0.3"],
           "inclusion-exclusion", 1),
          (["count", "--n", "25", "--s", "2"], "inclusion-exclusion", 1),
-         (["count", "--n", "4,22", "--s", "4,3"], "inclusion-exclusion", 2)],
+         (["count", "--n", "4,22", "--s", "4,3"], "inclusion-exclusion", 2),
+         (["poly", "--n", "4,5", "--s", "2,2"], "inclusion-exclusion", 2),
+         (["eval", "--n", "200", "--s", "5", "--q", "0.3"], "transfer-matrix", 1)],
     )
     def test_route(self, capsys, argv, name, axis):
         code, out, _ = run(capsys, *argv, "--format", "json")
@@ -157,7 +160,7 @@ class TestRouteInEnvelope:
             "name": name, "axis": axis, "payload": route.payload,
             "seconds": route.seconds, "bytes": route.nbytes,
         }
-        if route.payload == "value":
+        if route.payload != "polynomial":
             assert states["predicted"] == route.states
             assert 1 <= states["reached"] <= route.states
         else:
@@ -188,6 +191,21 @@ class TestRouteInEnvelope:
         route = choose_route(self._shape(argv), q=q)
         assert json.loads(out)["route"] == {
             "name": "inclusion-exclusion", "axis": axis, "payload": "value",
+            "seconds": route.seconds, "bytes": route.nbytes,
+            "states": {"predicted": route.states, "reached": reached},
+        }
+
+    @pytest.mark.parametrize(
+        "argv,axis,reached",
+        [(["poly", "--n", "4,22", "--s", "4,3", "--target", "p"], 2, 3),
+         (["eval", "--n", "25", "--s", "2", "--q", "0.99"], 1, 2)],
+    )
+    def test_packed_scan(self, capsys, argv, axis, reached):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        route = choose_route(self._shape(argv))
+        assert json.loads(out)["route"] == {
+            "name": "inclusion-exclusion", "axis": axis, "payload": "packed",
             "seconds": route.seconds, "bytes": route.nbytes,
             "states": {"predicted": route.states, "reached": reached},
         }
@@ -247,11 +265,12 @@ class TestCount:
         assert code == 2
 
     def test_past_the_polynomial(self, capsys):
-        # no polynomial of [10,60]x[3,3] fits; the value scan along axis 2
-        # does
+        # the count of [10,60]x[3,3] takes the value scan along axis 2 in
+        # well under a second, where its polynomial, by the packed scan,
+        # takes about 100 s; no polynomial of [48,48]x[3,3] fits at all
         code, out, _ = run(capsys, "count", "--n", "10,60", "--s", "3,3")
         assert code == 0 and int(out) > 0
-        code, _, _ = run(capsys, "poly", "--n", "10,60", "--s", "3,3")
+        code, _, _ = run(capsys, "poly", "--n", "48,48", "--s", "3,3")
         assert code == 3
 
     def test_no_route_exit_3_names_the_value_scan(self, capsys):
@@ -367,6 +386,7 @@ class TestOracle:
             "inclusion_exclusion_polynomial",
             "transfer_matrix_tally",
             "_window_layer_polynomial",
+            "_packed_polynomial",
         ):
             def counted(*args, _original=getattr(engine, name), **kwargs):
                 calls.append(1)

@@ -40,6 +40,7 @@ from relpoly import (
 from relpoly import engine
 from relpoly.engine import (
     INCLUSION_EXCLUSION,
+    PACKED,
     POLYNOMIAL,
     TRANSFER_MATRIX,
     VALUE,
@@ -249,9 +250,10 @@ class TestFailurePolynomial:
         assert reliability_polynomial(validate_shape([2], [3])) == IntPolynomial.one()
 
     def test_subset_bound_error_names_fallback(self):
-        # 100 windows and up to 4^12 transfer-matrix states: no route fits
+        # 2116 windows, 46 of them a window layer, and 4^48 transfer-matrix
+        # states: no route fits
         with pytest.raises(ResourceLimitError, match="mc"):
-            failure_polynomial(validate_shape([12, 12], [3, 3]))
+            failure_polynomial(validate_shape([48, 48], [3, 3]))
 
     def test_paths_agree(self):
         # the zeta sweep against the per-subset cell route
@@ -677,16 +679,70 @@ class TestWindowLayerValues:
             assert ("states" in stats) == (payload == VALUE)
 
     def test_reaches_past_the_polynomial(self):
-        # [12,12]x[3,3]: no polynomial fits, the value scan does; its axes
-        # agree
+        # [12,12]x[3,3]: no polynomial fits as rows of coefficients, the
+        # scans with one integer per state do; the count's axes agree
         shape = validate_shape([12, 12], [3, 3])
-        with pytest.raises(ResourceLimitError):
-            choose_route(shape)
+        rows = [engine._inclusion_exclusion_cost(shape, EngineConfig()),
+                engine._transfer_matrix_cost(shape),
+                *(engine._window_layer_cost(shape, axis) for axis in range(2))]
+        assert min(c.nbytes for c in rows) > engine.memory_budget()
+        assert choose_route(shape).payload == PACKED
         stats = {}
         count = failed_count(shape, stats=stats)
         assert stats["route"].payload == VALUE and stats["states"] == 2273
         other = 1 - stats["route"].axis
         assert 2**144 * (1 - self._value(shape, other, Fraction(1, 2))) == count
+
+
+class TestPackedPolynomial:
+    # the window-layer scan with one value per state at q = 2^B, its digits
+    # read off as the coefficients of R
+
+    @staticmethod
+    def _packed(shape, axis):
+        poly, reached = engine._packed_polynomial(shape, axis)
+        assert 1 <= reached
+        return poly
+
+    def test_every_axis_of_the_catalog(self):
+        for shape in catalog():
+            expected = inclusion_exclusion_polynomial(shape)
+            assert tally_to_polynomial(transfer_matrix_tally(shape)) == expected
+            for axis in range(shape.d):
+                packed = self._packed(shape, axis)
+                assert packed == expected, (shape, axis)
+                assert packed == _window_layer_polynomial(shape, axis), (shape, axis)
+
+    def test_series_central_binomials(self):
+        # R of [n]x[1] is (1 - q)^n: its largest coefficient, C(n, n // 2),
+        # must fit the signed range of one B-bit digit
+        for n in range(1, 31):
+            shape = validate_shape([n], [1])
+            poly = self._packed(shape, 0)
+            assert 1 - poly == IntPolynomial(
+                {k: (-1) ** k * math.comb(n, k) for k in range(n + 1)}
+            ), n
+            assert math.comb(n, n // 2) < 2 ** (engine._packed_digit_bits(shape) - 1)
+
+    @pytest.mark.parametrize("n,s", [([2, 70], [2, 2]), ([67], [1])])
+    def test_past_the_int64_bound(self, n, s):
+        # |E| = 69 and 67: digits of 72 bits; C(67, 33) > 2^63
+        shape = validate_shape(n, s)
+        expected = tally_to_polynomial(transfer_matrix_tally(shape))
+        assert self._packed(shape, shape.d - 1) == expected
+
+    def test_failure_polynomial_reports_its_states(self):
+        shape = validate_shape([4, 22], [4, 3])
+        stats = {}
+        poly = failure_polynomial(shape, stats=stats)
+        assert stats["route"] == choose_route(shape)
+        assert stats["route"].payload == PACKED and stats["states"] == 3
+        stats = {}
+        assert reliability_polynomial(shape, stats=stats) == 1 - poly
+        assert stats["states"] == 3
+        stats = {}
+        failure_polynomial(validate_shape([6, 6], [2, 2]), stats=stats)
+        assert stats["route"].payload == POLYNOMIAL and "states" not in stats
 
 
 class TestCostModel:
@@ -708,20 +764,27 @@ class TestCostModel:
         "n,s,form",
         [([3, 4, 5], [2, 2, 2], "layers"), ([4, 22], [4, 3], "layers"),
          ([6, 6], [2, 2], "layers"), ([4, 5], [2, 2], "sweep"),
-         ([25], [2], "scan")],
+         ([25], [2], "scan"), ([4, 22], [4, 3], "packed"), ([25], [2], "packed"),
+         ([2, 24], [2, 2], "packed")],
     )
     def test_predicted_within_a_band_of_measured(self, n, s, form):
         shape = validate_shape(n, s)
         config = EngineConfig(workers=1)
+        axes = range(shape.d)
         if form == "sweep":
             cost = engine._inclusion_exclusion_cost(shape, config)
             compute = lambda: inclusion_exclusion_polynomial(shape, config=config)
         elif form == "scan":
             cost = engine._transfer_matrix_cost(shape)
             compute = lambda: tally_to_polynomial(transfer_matrix_tally(shape))
+        elif form == "packed":
+            bits = shape.volume * engine._packed_digit_bits(shape)
+            cost = engine._fastest(
+                engine._window_layer_value_cost(shape, a, bits, PACKED) for a in axes
+            )
+            compute = lambda: engine._packed_polynomial(shape, cost.axis)
         else:
-            cost = choose_route(shape, config=config)
-            assert cost.route == INCLUSION_EXCLUSION and cost.axis is not None
+            cost = engine._fastest(engine._window_layer_cost(shape, a) for a in axes)
             compute = lambda: _window_layer_polynomial(shape, cost.axis)
         ratio = cost.seconds / self._median_seconds(compute)
         assert 0.2 <= ratio <= 5, ratio
@@ -730,12 +793,17 @@ class TestCostModel:
 class TestRouting:
     @pytest.mark.parametrize(
         "n,s,route",
-        [([6, 6], [2, 2], INCLUSION_EXCLUSION), ([25], [2], TRANSFER_MATRIX),
-         ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([14], [2], TRANSFER_MATRIX),
+        # the transfer matrix wins long 1-D shapes with wide windows, where
+        # the packed scan's digits are long: [200]x[5] 6.0 ms against 8.4
+        # (packed) and 24 ms (rows), [300]x[5] 15 / 41 / 63 ms, [250]x[6]
+        # 9.6 / 19 / 67 ms, [1000]x[5] 0.21 / 3.9 / 1.1 s (interleaved
+        # medians at one worker)
+        [([6, 6], [2, 2], INCLUSION_EXCLUSION), ([200], [5], TRANSFER_MATRIX),
+         ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([1000], [5], TRANSFER_MATRIX),
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
          ([4, 22], [4, 3], INCLUSION_EXCLUSION),
-         ([5, 5], [2, 2], INCLUSION_EXCLUSION), ([15], [2], TRANSFER_MATRIX),
-         ([9], [2], TRANSFER_MATRIX), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
+         ([5, 5], [2, 2], INCLUSION_EXCLUSION), ([300], [5], TRANSFER_MATRIX),
+         ([250], [6], TRANSFER_MATRIX), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
          # 27 windows: no cap on |E| beyond memory
          ([4, 21], [2, 13], INCLUSION_EXCLUSION),
          ([4, 4, 4], [2, 2, 2], INCLUSION_EXCLUSION)],
@@ -747,7 +815,7 @@ class TestRouting:
         "n,s,axis",
         [([3, 4, 5], [2, 2, 2], 2), ([4, 22], [4, 3], 1), ([2, 5, 6], [2, 2, 2], 2),
          ([4, 4, 4], [2, 2, 2], 0), ([4, 21], [2, 13], 0),
-         ([4, 5], [2, 2], 0), ([5, 5], [3, 3], None),
+         ([5, 5], [2, 2], 0), ([5, 5], [3, 3], None),
          # 110 footprints a window layer, four layers held: the rows do
          # not fit, the sweep's 2^27 entries do
          ([6, 6, 6], [4, 4, 4], None), ([4, 4], [2, 2], 0)],
@@ -756,6 +824,33 @@ class TestRouting:
         # the window-layer form scans an axis; the whole-set sweep has none
         route = choose_route(validate_shape(n, s))
         assert (route.route, route.axis) == (INCLUSION_EXCLUSION, axis)
+
+    @pytest.mark.parametrize(
+        "n,s,axis",
+        # medians of the packed scan against the fastest other form, in ms,
+        # interleaved at one worker (31 rounds): [3,3]x[2,2] 0.065 / 0.108
+        # (sweep), [9]x[2] 0.075 / 0.148 (sweep), [14]x[2] 0.067 / 0.155
+        # (sweep), [16]x[1] 0.058 / 0.176 (transfer matrix), [4,4]x[1,1]
+        # 0.061 / 0.104 (rows), [4,5]x[2,2] 0.140 / 0.185 (rows),
+        # [3,8]x[2,2] 0.095 / 0.168 (rows), [20]x[3] 0.105 / 0.204
+        # (transfer matrix), [4,22]x[4,3] 0.267 / 0.477 (rows), [25]x[2]
+        # 0.104 / 0.266 (transfer matrix), [2,24]x[2,2] 0.165 / 0.507 (rows)
+        [([3, 3], [2, 2], 0), ([9], [2], 0), ([14], [2], 0), ([16], [1], 0),
+         ([4, 4], [1, 1], 0), ([4, 5], [2, 2], 1), ([3, 8], [2, 2], 1),
+         ([20], [3], 0), ([4, 22], [4, 3], 1), ([25], [2], 0), ([2, 24], [2, 2], 1)],
+    )
+    def test_packed_polynomial(self, n, s, axis):
+        route = choose_route(validate_shape(n, s))
+        assert (route.route, route.axis, route.payload) == (
+            INCLUSION_EXCLUSION, axis, PACKED,
+        )
+
+    @pytest.mark.parametrize("n,s", [([3, 4, 5], [2, 2, 2]), ([6, 6], [2, 2])])
+    def test_rows_where_a_layer_has_many_footprints(self, n, s):
+        # rows against the packed scan: [3,4,5]x[2,2,2] 0.31 against 2.0 ms,
+        # [6,6]x[2,2] 0.27 against 0.69 ms
+        route = choose_route(validate_shape(n, s))
+        assert route.payload == POLYNOMIAL and route.axis is not None
 
     def test_bytes_count_only_the_chunks_in_flight(self):
         # 512 subsets make one block, run serially at any worker count
@@ -779,7 +874,7 @@ class TestRouting:
 
     def test_no_route_error_gives_both_costs(self):
         with pytest.raises(ResourceLimitError) as exc:
-            choose_route(validate_shape([12, 12], [3, 3]))
+            choose_route(validate_shape([48, 48], [3, 3]))
         message = str(exc.value)
         assert INCLUSION_EXCLUSION in message and TRANSFER_MATRIX in message
         assert "bytes" in message and "'mc'" in message
@@ -787,7 +882,7 @@ class TestRouting:
 
     def test_no_route_error_names_the_window_layer_form(self):
         with pytest.raises(ResourceLimitError) as exc:
-            choose_route(validate_shape([12, 12], [3, 3]))
+            choose_route(validate_shape([48, 48], [3, 3]))
         assert re.search(
             r"inclusion-exclusion along axis [12] predicts \S+ s and \S+ bytes",
             str(exc.value),
