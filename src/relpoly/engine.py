@@ -23,7 +23,8 @@ is evaluated in one of two forms:
   layers along an axis ``a``.  A cell layer is covered only by the windows
   of the ``s_a`` window layers that end at it, so ``k(J)`` is a sum of one
   term per cell layer, and the sum over J runs as a scan whose state holds
-  the footprints chosen in the last ``s_a - 1`` window layers.  Its cost
+  the footprints chosen in the last ``s_a - 1`` window layers, each with a
+  row of int64 coefficients, so it runs while ``|E| <= 61``.  Its cost
   grows with the footprints of one window layer to the power ``s_a``, not
   with ``2^|E|``.
 
@@ -36,7 +37,9 @@ same scan at ``q = 2^B`` gives the whole polynomial, packed
 (:func:`_packed_polynomial`): every coefficient of R is a sum of at most
 ``2^|E|`` signs, so with ``B = |E| + 2`` bits, rounded up to whole bytes,
 the integer ``R(2^B)`` holds one coefficient per B-bit digit, and a
-biased byte read decodes it.
+biased byte read decodes it.  Its cell-layer weights ``2^(B k)`` are
+powers of two, as a count's are, so each scales a state by a shift.  This
+is the Python-int form of inclusion-exclusion past the rows' int64 bound.
 
 **Transfer matrix.**  :func:`transfer_matrix_tally` counts the surviving
 configurations by weight in one scan along an axis ``a`` (finite Markov
@@ -51,8 +54,8 @@ failed tally is ``C(N, k)`` minus the survivors, and the polynomial
 follows from it as in the oracle.
 
 :func:`failure_polynomial` takes whichever of four (the sweep, the
-window-layer scan with rows of coefficients or with one packed integer per
-state, each along its best axis, and the transfer matrix)
+window-layer scan with int64 rows of coefficients or with one packed
+integer per state, each along its best axis, and the transfer matrix)
 :func:`choose_route` predicts to be fastest among those whose predicted
 peak memory fits in half the machine's physical memory.  A value at one q
 (:func:`failed_count`, :func:`count_sequence`, :func:`exact_reliability`)
@@ -79,7 +82,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -199,21 +202,19 @@ _SCAN_SECONDS_PER_REBUILD_STEP = 2.2e-7
 # call + n_a * (layer + rows * width * entry), with the rows of one layer
 # (see _window_layer_cost) and their mean width.  Fitted at one worker on
 # the same host, in relative error, to the medians of 53 shape-axis pairs
-# on int64 with |E| = 8-58 (the support cached, as after a first call):
-# 0.12 ms per call, 25 us per layer and 1.1 ns per coefficient, each pair
-# within 0.51-1.32x of its median; on Python ints, 27 ns per coefficient,
-# 8 pairs with |E| = 69-196 within 0.87-1.38x.  The support of a window
-# layer is counted exactly up to 2^_LAYER_SUPPORT_MAX_WINDOWS subsets
-# (about 0.1 ms, once per cross-section), and bounded by 2^W beyond.
-# Counting it peaks at 57-60 bytes per subset (tracemalloc), the start
-# table at 24 per joint state.
+# with |E| = 8-58 (the support cached, as after a first call): 0.12 ms per
+# call, 25 us per layer and 1.1 ns per coefficient, each pair within
+# 0.51-1.32x of its median.  The support of a window layer is counted
+# exactly up to 2^_LAYER_SUPPORT_MAX_WINDOWS subsets (about 0.1 ms, once
+# per cross-section), and bounded by 2^W beyond.  Counting it peaks at
+# 57-60 bytes per subset (tracemalloc), the start table at 24 per joint
+# state.
 _LAYER_SUPPORT_MAX_WINDOWS = 12
 _LAYER_SUPPORT_BYTES_PER_SUBSET = 64
 _LAYER_BYTES_PER_JOINT_STATE = 24
 _LAYER_SECONDS_PER_CALL = 1.2e-4
 _LAYER_SECONDS_PER_LAYER = 2.5e-5
-_LAYER_SECONDS_PER_INT64_ENTRY = 1.1e-9
-_LAYER_SECONDS_PER_OBJECT_ENTRY = 2.7e-8
+_LAYER_SECONDS_PER_ENTRY = 1.1e-9
 
 # The window-layer scan with one value per state costs a fixed per-call
 # overhead, one per cell layer, and one Python-int step per state and
@@ -229,8 +230,11 @@ _LAYER_SECONDS_PER_OBJECT_ENTRY = 2.7e-8
 # (tracemalloc, two dicts alive); twice that is charged.  The packed scan
 # is priced with the same constants at N * B bits: within 0.85-1.5x of the
 # medians of the 16 shapes with |E| < 48 that it is picked for, at one
-# worker, and 7.5x above on [10,10]x[3,3], whose 2,304 bounded states merge
-# to 569.
+# worker, when it scaled by multiplies.  It scales by shifts, whose time
+# grows with the bits but not their square, and runs 2.4-19x below its
+# prediction on eight shapes with |E| = 64-996: 3.7 against 27 ms on
+# [3,60]x[2,3], 93 ms against 1.8 s on [10,10]x[3,3], whose 2,304 bounded
+# states merge to 569.
 _VALUE_SECONDS_PER_CALL = 3.1e-5
 _VALUE_SECONDS_PER_LAYER = 1.6e-6
 _VALUE_SECONDS_PER_STEP = 2.3e-7
@@ -462,16 +466,14 @@ def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> Route
     return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes)
 
 
-def _transfer_matrix_cost(shape: SystemShape, axis: int | None = None) -> RouteCost:
-    """The scan's cost along ``axis``; by default along the axis with the
-    fewest states."""
+def _transfer_matrix_cost(shape: SystemShape) -> RouteCost:
+    """The scan's cost along the axis with the fewest states."""
     n, s, volume = shape.n, shape.s, shape.volume
 
     def log2_states(r: int) -> float:
         return volume // n[r] * math.log2(s[r] + 1)
 
-    if axis is None:
-        axis = min(range(shape.d), key=log2_states)
+    axis = min(range(shape.d), key=log2_states)
     states = _power(2, log2_states(axis))
     if volume < 63:  # every count is at most 2^N
         entry_bytes, entry_seconds = 8, _SCAN_SECONDS_PER_INT64_ENTRY
@@ -509,32 +511,29 @@ def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
 
     With ``u`` footprints in the support, the scan holds ``u^(s_a - 1)``
     states and, at each of the ``n_a`` cell layers, copies every state's
-    ``cells + 1`` shifts and gathers ``u^s_a`` rows, which widen by one
-    cross-section per layer up to ``N + 1`` exponents.  Footprints are
-    64-bit masks, so a cross-section of more than 64 cells costs infinity.
+    ``cells + 1`` shifts and gathers ``u^s_a`` rows of int64 coefficients,
+    which widen by one cross-section per layer up to ``N + 1`` exponents.
+    Footprints are 64-bit masks and coefficients int64 while ``|E| <= 61``
+    (see :func:`_window_layer_polynomial`), so a cross-section of more than
+    64 cells, or more windows, costs infinity.
     """
     n_a, s_a, volume = shape.n[axis], shape.s[axis], shape.volume
     cells = volume // n_a
-    if cells > 64:
+    if cells > 64 or shape.num_windows >= 62:
         return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis)
     per_layer, u = _layer_footprints(shape, axis)
     states = _power(u, s_a - 1)
     joint = _power(u, s_a)
-    if shape.num_windows < 62:  # see _window_layer_polynomial
-        entry_bytes, entry_seconds = 8, _LAYER_SECONDS_PER_INT64_ENTRY
-    else:
-        entry_bytes = 8 + sys.getsizeof(1 << shape.num_windows)
-        entry_seconds = _LAYER_SECONDS_PER_OBJECT_ENTRY
     rows = joint + states * (cells + 1)  # gathered rows and shift copies
     nbytes = (
-        (rows + 2 * states) * (volume + 1 + cells) * entry_bytes
+        (rows + 2 * states) * (volume + 1 + cells) * 8
         + _LAYER_BYTES_PER_JOINT_STATE * joint  # the start table
         + _LAYER_SUPPORT_BYTES_PER_SUBSET * _power(2, per_layer)
     )
     seconds = (
         _LAYER_SECONDS_PER_CALL
         + n_a * _LAYER_SECONDS_PER_LAYER
-        + n_a * rows * ((volume + cells) / 2 + 1) * entry_seconds
+        + n_a * rows * ((volume + cells) / 2 + 1) * _LAYER_SECONDS_PER_ENTRY
     )
     return RouteCost(INCLUSION_EXCLUSION, seconds, nbytes, axis)
 
@@ -828,10 +827,12 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     of footprints with polynomial 1, and the last layer's states sum to R.
 
     Every partial sum counts distinct window sets, so it stays within
-    ``2^|E|``: coefficients are int64 while ``|E| <= 61``, Python ints
-    beyond.  Returns the zero polynomial for non-failable shapes.  Raises
-    :class:`~relpoly.model.ResourceLimitError` before allocating when the
-    predicted rows would not fit in half the physical memory.
+    ``2^|E|`` and the coefficients are int64 while ``|E| <= 61``; past
+    that the packed scan (:func:`_packed_polynomial`) builds the
+    polynomial.  Returns the zero polynomial for non-failable shapes.
+    Raises :class:`~relpoly.model.ResourceLimitError` before allocating
+    when ``|E| >= 62`` or the predicted rows would not fit in half the
+    physical memory.
     """
     if not shape.failable:
         return IntPolynomial.zero()
@@ -841,7 +842,6 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     window_layers = shape.n[axis] - held
     support, counts = _layer_support(*_cross_section(shape, axis))
     u = len(support)
-    dtype = np.int64 if shape.num_windows < 62 else object
     # start[k_0, ..., k_held]: the cells of a cell layer that footprints
     # k_0 .. k_held leave uncovered.  A row stored after ``cells`` zeros
     # and read from there is shifted by the cells they cover.
@@ -851,14 +851,14 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     start = cells - np.bitwise_count(union).astype(np.intp)
     # one row per state, the polynomial at columns cells .. cells + width;
     # the columns past it are still zero when the row widens
-    padded = np.zeros((u**held, shape.volume + 1 + cells), dtype)
+    padded = np.zeros((u**held, shape.volume + 1 + cells), np.int64)
     padded[0, cells] = 1
     shifted = sliding_window_view(padded, shape.volume + 1, axis=1)
     # each layer copies every shift of every row once, contiguous, then
     # gathers one shifted row per state and choice from the copy; both
     # buffers are reused by every layer
-    copies = np.empty(u**held * (cells + 1) * (shape.volume + 1), dtype)
-    picked = np.empty(u ** (held + 1) * (shape.volume + 1), dtype)
+    copies = np.empty(u**held * (cells + 1) * (shape.volume + 1), np.int64)
+    picked = np.empty(u ** (held + 1) * (shape.volume + 1), np.int64)
     first = np.arange(u**held)[:, None] * (cells + 1)
     states, width = (1,) * held, 1
     for t in range(shape.n[axis]):
@@ -900,7 +900,10 @@ def _window_layer_values(
 
     The sum of :func:`_window_layer_polynomial`, with one exact integer per
     state in place of a polynomial row: a cell layer with k covered cells
-    multiplies a term by ``a^k * b^(cells - k)``.  The state is the chain
+    multiplies a term by ``a^k * b^(cells - k)``.  Where a and b are powers
+    of two, as at a count's q = 1/2 and the packed scan's ``q = 2^B``,
+    every such weight is, and a left shift scales by it; otherwise at most
+    one weight is, and every weight multiplies.  The state is the chain
     of suffix unions ``U_1 ⊇ ... ⊇ U_h`` of the last ``h = s_a - 1``
     footprints, since cell layer ``t + i`` is covered by the union of the
     held layers from the i-th on; tuples of footprints with the same chain
@@ -926,6 +929,9 @@ def _window_layer_values(
     spread = sum(1 << (i * cells) for i in range(held))  # one bit per slot
     moves = [(f, f * spread, c) for f, c in zip(support.tolist(), counts.tolist())]
     weights = [a**k * b ** (cells - k) for k in range(cells + 1)]
+    shifts = None
+    if all(w > 0 and w & (w - 1) == 0 for w in weights):
+        shifts = [w.bit_length() - 1 for w in weights]
     first = (1 << cells) - 1
     states, values, reached = {0: 1}, [], 1
     for t in range(1, shape.n[axis] + 1):
@@ -934,7 +940,10 @@ def _window_layer_values(
         get = new.get
         for chain, value in states.items():
             covered, rest = chain & first, chain >> cells
-            scaled = [value * w for w in weights]
+            if shifts is None:
+                scaled = [value * w for w in weights]
+            else:
+                scaled = [value << e for e in shifts]
             for f, slots, c in choices:
                 key = rest | slots
                 new[key] = get(key, 0) + c * scaled[(covered | f).bit_count()]
@@ -977,8 +986,8 @@ def _packed_polynomial(shape: SystemShape, axis: int) -> tuple[IntPolynomial, in
 # -- transfer matrix: the layer scan ------------------------------------------
 
 
-def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
-    """Surviving configurations after each layer along ``axis``.
+def _survivor_state(shape: SystemShape, axis: int) -> np.ndarray:
+    """Surviving configurations of the whole array, scanned along ``axis``.
 
     Cells are scanned one at a time, layer by layer along ``axis`` and
     row-major within the cross-section.  The state is one array with a
@@ -993,9 +1002,8 @@ def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
     box come earlier in the layer, so their digits are already updated,
     and zeroing that one slice drops the failing configurations.
 
-    The weight axis grows by one per cell.  Layer ``t`` yields the state of
-    the first ``t`` layers.  Counts are int64 while ``2^N`` fits, Python
-    ints otherwise.
+    The weight axis grows by one per cell.  Counts are int64 while ``2^N``
+    fits, Python ints otherwise.
     """
     cross_n, cross_s = _cross_section(shape, axis)
     cap = shape.s[axis]
@@ -1030,7 +1038,7 @@ def _survivor_layers(shape: SystemShape, axis: int) -> Iterator[np.ndarray]:
             if box is not None:
                 grown[box] = 0
             state = grown
-        yield state
+    return state
 
 
 def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
@@ -1046,8 +1054,7 @@ def transfer_matrix_tally(shape: SystemShape) -> WeightTally:
         return WeightTally(shape, (0,) * (volume + 1))
     cost = _transfer_matrix_cost(shape)
     _within_budget(shape, [cost])
-    for state in _survivor_layers(shape, cost.axis):
-        pass  # only the last layer is read
+    state = _survivor_state(shape, cost.axis)
     survivors = state.sum(axis=tuple(range(state.ndim - 1)))
     return WeightTally(
         shape,

@@ -44,7 +44,7 @@ from relpoly.engine import (
     POLYNOMIAL,
     TRANSFER_MATRIX,
     VALUE,
-    _survivor_layers,
+    _survivor_state,
     _window_layer_polynomial,
     choose_route,
     inclusion_exclusion_polynomial,
@@ -514,7 +514,7 @@ class TestTransferMatrix:
 
     @staticmethod
     def _scan_tally(shape, axis):
-        *_, state = _survivor_layers(shape, axis)
+        state = _survivor_state(shape, axis)
         survivors = state.sum(axis=tuple(range(state.ndim - 1)))
         return tuple(
             math.comb(shape.volume, w) - int(g)
@@ -570,15 +570,42 @@ class TestWindowLayerScan:
 
     @pytest.mark.parametrize(
         "n,s",
-        # |E| = 61 and 58 on int64 (N = 124 and 90); 62, 67 and 69 on Python
-        # ints, [67]x[1] with coefficients up to C(67, 33) > 2^63
+        # |E| = 61 and 58 on the int64 rows (N = 124 and 90); 62, 67 and 69
+        # past them, on the packed scan along the same axis, [67]x[1] with
+        # coefficients up to C(67, 33) > 2^63
         [([2, 62], [2, 2]), ([3, 30], [2, 2]), ([2, 63], [2, 2]), ([67], [1]),
          ([2, 70], [2, 2])],
     )
     def test_both_sides_of_the_int64_bound(self, n, s):
         shape = validate_shape(n, s)
+        axis = shape.d - 1
         expected = tally_to_polynomial(transfer_matrix_tally(shape))
-        assert _window_layer_polynomial(shape, shape.d - 1) == expected
+        if shape.num_windows <= 61:
+            assert _window_layer_polynomial(shape, axis) == expected
+        else:
+            with pytest.raises(ResourceLimitError):
+                _window_layer_polynomial(shape, axis)
+            assert engine._packed_polynomial(shape, axis)[0] == expected
+
+    @pytest.mark.parametrize(
+        "n,s",
+        [([2, 63], [2, 2]), ([62], [1]), ([3, 60], [2, 3]), ([5, 24], [2, 3]),
+         ([300], [3]), ([4, 100], [2, 2]), ([5, 38], [3, 5]), ([2, 3, 40], [2, 2, 2]),
+         ([3, 33], [2, 2]), ([6, 20], [3, 3])],
+    )
+    def test_rows_stop_at_the_int64_bound(self, n, s):
+        # |E| >= 62: the rows cost infinity along every axis, and no route
+        # choice, for the polynomial or a value, takes them
+        shape = validate_shape(n, s)
+        assert shape.num_windows >= 62
+        for axis in range(shape.d):
+            assert engine._window_layer_cost(shape, axis).seconds == math.inf
+        for q in (None, Fraction(1, 2), Fraction(19, 50)):
+            route = choose_route(shape, q=q)
+            rows = (INCLUSION_EXCLUSION, POLYNOMIAL)
+            assert route.axis is None or (route.route, route.payload) != rows, (
+                shape, q,
+            )
 
     def test_one_dim_recursion(self):
         points = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
@@ -793,11 +820,11 @@ class TestCostModel:
 class TestRouting:
     @pytest.mark.parametrize(
         "n,s,route",
-        # the transfer matrix wins long 1-D shapes with wide windows, where
-        # the packed scan's digits are long: [200]x[5] 6.0 ms against 8.4
-        # (packed) and 24 ms (rows), [300]x[5] 15 / 41 / 63 ms, [250]x[6]
-        # 9.6 / 19 / 67 ms, [1000]x[5] 0.21 / 3.9 / 1.1 s (interleaved
-        # medians at one worker)
+        # the transfer matrix keeps long 1-D shapes with wide windows, where
+        # the packed scan's digits are long: [1000]x[5] 148 ms against 458
+        # (packed); [300]x[5] 12.7 / 14.0 ms and [250]x[6] 10.3 / 10.3 ms
+        # tie, and on [200]x[5] it is within 21%, 5.9 / 4.9 ms (interleaved
+        # medians at one worker, 11 rounds, 5 for [1000]x[5])
         [([6, 6], [2, 2], INCLUSION_EXCLUSION), ([200], [5], TRANSFER_MATRIX),
          ([4, 5], [2, 2], INCLUSION_EXCLUSION), ([1000], [5], TRANSFER_MATRIX),
          ([3, 4, 5], [2, 2, 2], INCLUSION_EXCLUSION),
@@ -806,7 +833,11 @@ class TestRouting:
          ([250], [6], TRANSFER_MATRIX), ([3, 8], [2, 2], INCLUSION_EXCLUSION),
          # 27 windows: no cap on |E| beyond memory
          ([4, 21], [2, 13], INCLUSION_EXCLUSION),
-         ([4, 4, 4], [2, 2, 2], INCLUSION_EXCLUSION)],
+         ([4, 4, 4], [2, 2, 2], INCLUSION_EXCLUSION),
+         # 298 windows, past the rows' int64 bound: the transfer matrix
+         # 10.0-11.5 ms against 8.9-9.9 ms packed, which the model
+         # over-predicts (medians of three runs of 11-21 interleaved rounds)
+         ([300], [3], TRANSFER_MATRIX)],
     )
     def test_cheaper_route(self, n, s, route):
         assert choose_route(validate_shape(n, s)).route == route
@@ -834,10 +865,14 @@ class TestRouting:
         # 0.061 / 0.104 (rows), [4,5]x[2,2] 0.140 / 0.185 (rows),
         # [3,8]x[2,2] 0.095 / 0.168 (rows), [20]x[3] 0.105 / 0.204
         # (transfer matrix), [4,22]x[4,3] 0.267 / 0.477 (rows), [25]x[2]
-        # 0.104 / 0.266 (transfer matrix), [2,24]x[2,2] 0.165 / 0.507 (rows)
+        # 0.104 / 0.266 (transfer matrix), [2,24]x[2,2] 0.165 / 0.507 (rows).
+        # Past the rows' int64 bound, three runs of 11-21 rounds:
+        # [3,60]x[2,3] 3.7-6.5 / 35-53 ms (transfer matrix), [5,24]x[2,3]
+        # 8.2-11.4 / 236-342 ms (transfer matrix)
         [([3, 3], [2, 2], 0), ([9], [2], 0), ([14], [2], 0), ([16], [1], 0),
          ([4, 4], [1, 1], 0), ([4, 5], [2, 2], 1), ([3, 8], [2, 2], 1),
-         ([20], [3], 0), ([4, 22], [4, 3], 1), ([25], [2], 0), ([2, 24], [2, 2], 1)],
+         ([20], [3], 0), ([4, 22], [4, 3], 1), ([25], [2], 0), ([2, 24], [2, 2], 1),
+         ([3, 60], [2, 3], 1), ([5, 24], [2, 3], 1)],
     )
     def test_packed_polynomial(self, n, s, axis):
         route = choose_route(validate_shape(n, s))
@@ -951,8 +986,8 @@ class TestRefusesBeforeAllocating:
         assert peak < 1 << 20
 
     def test_window_layer_scan(self):
-        # 112 footprints a window layer, two layers held: 1.4e6 rows of 145
-        # Python-int coefficients
+        # |E| = 100: past the int64 bound the rows cost infinity, and
+        # refuse before the support is counted
         shape = validate_shape([12, 12], [3, 3])
         peak = self._peak_bytes_while_refused(
             lambda: engine._window_layer_polynomial(shape, 0)
@@ -960,6 +995,7 @@ class TestRefusesBeforeAllocating:
         assert peak < 1 << 20
 
     def test_window_layer_scan_within_a_low_budget(self, monkeypatch):
+        # |E| = 24 on int64: the rows refuse by their predicted bytes
         shape = validate_shape([3, 4, 5], [2, 2, 2])
         nbytes = engine._window_layer_cost(shape, 2).nbytes
         monkeypatch.setattr(engine, "memory_budget", lambda: nbytes / 2)
