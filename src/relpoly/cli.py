@@ -161,19 +161,13 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     shape = _shape_from_args(args)
     q = _parse_q(args.q)
-    stats: dict = {}  # the exact value's run, or the polynomial's
-    if args.exact:
-        value = exact_reliability(shape, q, stats=stats)
-        if args.target == "p":
-            value = 1 - value
-        rendered: object = str(value)
-    else:
-        poly = (
-            failure_polynomial(shape, stats=stats)
-            if args.target == "p"
-            else reliability_polynomial(shape, stats=stats)
-        )
-        rendered = poly.eval_float(float(q))
+    if not args.exact:  # the binary64 q, exactly; its value rounds once
+        q = Fraction(float(q))
+    stats: dict = {}
+    value = exact_reliability(shape, q, stats=stats)
+    if args.target == "p":
+        value = 1 - value
+    rendered = str(value) if args.exact else float(value)
     if args.format == "json":
         result = {"q": str(q) if args.exact else float(q), "value": rendered}
         run = _run_json(stats)
@@ -219,7 +213,8 @@ def cmd_curve(args) -> int:
         raise ValueError(f"steps must be positive, got {steps}")
     if args.out and not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK):
         raise ValueError(f"cannot write {args.out}: no writable directory")
-    poly = reliability_polynomial(shape)
+    stats: dict = {}
+    poly = reliability_polynomial(shape, stats=stats)
     points = []
     for i in range(steps + 1):
         t = i / steps
@@ -227,10 +222,8 @@ def cmd_curve(args) -> int:
         points.append((q, poly.eval_float(q)))
     if args.format == "json":
         result = {"points": [[q, r] for q, r in points]}
-        _emit(
-            json.dumps(_envelope("curve", shape, "exact", result, started)),
-            args.out,
-        )
+        env = _envelope("curve", shape, "exact", result, started, _run_json(stats))
+        _emit(json.dumps(env), args.out)
     else:
         lines = ["q,R"] + [f"{q!r},{r!r}" for q, r in points]
         _emit("\n".join(lines), args.out)

@@ -210,6 +210,8 @@ _SCAN_SECONDS_PER_REBUILD_STEP = 2.2e-7
 # 57-60 bytes per subset (tracemalloc), the start table at 24 per joint
 # state.
 _LAYER_SUPPORT_MAX_WINDOWS = 12
+# A coefficient of the rows lies in [-2^|E|, 2^|E|]: int64 up to 61 windows.
+_LAYER_INT64_MAX_WINDOWS = 61
 _LAYER_SUPPORT_BYTES_PER_SUBSET = 64
 _LAYER_BYTES_PER_JOINT_STATE = 24
 _LAYER_SECONDS_PER_CALL = 1.2e-4
@@ -519,7 +521,7 @@ def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
     """
     n_a, s_a, volume = shape.n[axis], shape.s[axis], shape.volume
     cells = volume // n_a
-    if cells > 64 or shape.num_windows >= 62:
+    if cells > 64 or shape.num_windows > _LAYER_INT64_MAX_WINDOWS:
         return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis)
     per_layer, u = _layer_footprints(shape, axis)
     states = _power(u, s_a - 1)
@@ -830,12 +832,20 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     ``2^|E|`` and the coefficients are int64 while ``|E| <= 61``; past
     that the packed scan (:func:`_packed_polynomial`) builds the
     polynomial.  Returns the zero polynomial for non-failable shapes.
-    Raises :class:`~relpoly.model.ResourceLimitError` before allocating
-    when ``|E| >= 62`` or the predicted rows would not fit in half the
-    physical memory.
+    Raises :class:`~relpoly.model.ResourceLimitError` before allocating,
+    naming that bound and the packed scan when ``|E| >= 62``, or the
+    prediction when the rows would not fit in half the physical memory.
     """
     if not shape.failable:
         return IntPolynomial.zero()
+    if shape.num_windows > _LAYER_INT64_MAX_WINDOWS:
+        raise ResourceLimitError(
+            f"window-layer rows of instance {shape}: its {shape.num_windows} windows "
+            f"exceed the {_LAYER_INT64_MAX_WINDOWS} whose coefficients fit int64. The "
+            "packed scan (payload 'packed') builds the polynomial exactly; where no "
+            "exact route fits, fall back to the Monte Carlo estimator (CLI "
+            "subcommand 'mc')."
+        )
     _within_budget(shape, [_window_layer_cost(shape, axis)])
     cells = shape.volume // shape.n[axis]
     held = shape.s[axis] - 1
@@ -1079,23 +1089,6 @@ def _failure_polynomial(
     return inclusion_exclusion_polynomial(shape, config=config), None
 
 
-def _reliability(
-    shape: SystemShape, q: Fraction, route: RouteCost, config: EngineConfig | None
-) -> tuple[Fraction, int | None]:
-    """R at ``q`` by ``route``, as :func:`choose_route` gave it, and the
-    most states its scan held (None for rows of coefficients)."""
-    if route.payload == VALUE:
-        (value,), reached = _window_layer_values(shape, route.axis, q, shape.n[route.axis])
-        return Fraction(value, q.denominator**shape.volume), reached
-    poly, reached = _failure_polynomial(shape, route, config)
-    return 1 - poly.eval_rational(q), reached
-
-
-def _failed(shape: SystemShape, reliability: Fraction) -> int:
-    """Failed configurations among all ``2^N``: ``2^N * (1 - R(1/2))``."""
-    return int((1 - reliability) * 2**shape.volume)
-
-
 def _record(route: RouteCost, reached: int | None) -> dict:
     """What one run reports: its route and, for a scan with one value or
     packed polynomial per state, the most states it held."""
@@ -1142,12 +1135,13 @@ def failed_count(
 ) -> int:
     """Number of failed configurations among all 2^N binary arrays.
 
-    That is ``2^N * P(1/2)``, the value :func:`exact_reliability` gives at
-    q = 1/2: by the window-layer scan with one value per state, or by the
-    polynomial at 1/2, whichever is predicted faster.  A ``stats`` dict
-    receives what :func:`exact_reliability` reports.
+    That is ``2^N * (1 - R(1/2))``, with the value at q = 1/2 that
+    :func:`exact_reliability` gives: by the window-layer scan with one value
+    per state, or by the polynomial at 1/2, whichever is predicted faster.
+    A ``stats`` dict receives what :func:`exact_reliability` reports.
     """
-    return _failed(shape, exact_reliability(shape, _HALF, config=config, stats=stats))
+    reliability = exact_reliability(shape, _HALF, config=config, stats=stats)
+    return int((1 - reliability) * 2**shape.volume)
 
 
 def exact_reliability(
@@ -1157,17 +1151,27 @@ def exact_reliability(
     config: EngineConfig | None = None,
     stats: dict | None = None,
 ) -> Fraction:
-    """Exact reliability R at a rational q.
+    """Exact reliability R at a rational q in [0, 1].
 
     Takes the route :func:`choose_route` picks for a value at ``q``: the
     window-layer scan with one value per state, which builds no
-    polynomial, or a polynomial evaluated at ``q``.  A ``stats`` dict
+    polynomial, or a polynomial evaluated at ``q``.  A binary64 q is
+    exactly ``a/2^m``, so ``float()`` of ``R(Fraction(q))`` is R at that q
+    correctly rounded, as :meth:`~relpoly.model.IntPolynomial.eval_float`
+    gives it.  Raises ``ValueError`` for q outside [0, 1].  A ``stats`` dict
     receives the ``"route"`` taken and, for a scan with one value or packed
     polynomial per state, the most ``"states"`` it held.
     """
     q = Fraction(q)
+    if not 0 <= q <= 1:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
     route = choose_route(shape, q=q, config=config)
-    reliability, reached = _reliability(shape, q, route, config)
+    if route.payload == VALUE:
+        (value,), reached = _window_layer_values(shape, route.axis, q, shape.n[route.axis])
+        reliability = Fraction(value, q.denominator**shape.volume)
+    else:
+        poly, reached = _failure_polynomial(shape, route, config)
+        reliability = 1 - poly.eval_rational(q)
     if stats is not None:
         stats.update(_record(route, reached))
     return reliability
@@ -1206,27 +1210,22 @@ def count_sequence(
     final = validate_shape(n, s)
     scan = _window_layer_value_cost(final, axis, final.volume)
     scan_fits = scan.nbytes <= memory_budget()
-    routes: list[tuple[SystemShape, RouteCost]] = []
+    shapes: list[SystemShape] = []  # ascending, as the counts are returned
     total = 0.0
     for v in range(stop, start - 1, -1):
         if scan_fits and total >= scan.seconds:
             break
         n[axis] = v
-        shape = validate_shape(n, s)
-        routes.append((shape, choose_route(shape, q=_HALF, config=config)))
-        total += routes[-1][1].seconds
+        shapes.insert(0, validate_shape(n, s))
+        total += choose_route(shapes[0], q=_HALF, config=config).seconds
     if scan_fits and total >= scan.seconds:
         survivors, reached = _window_layer_values(final, axis, _HALF, start)
         if stats is not None:
             stats.update(_record(scan, reached))
         cells = final.volume // stop
         return [(1 << (t * cells)) - v for t, v in enumerate(survivors, start)]
-    counts = []
-    runs = []
-    for shape, route in reversed(routes):
-        reliability, reached = _reliability(shape, _HALF, route, config)
-        counts.append(_failed(shape, reliability))
-        runs.append(_record(route, reached))
+    runs: list[dict] = [{} for _ in shapes]
+    counts = [failed_count(x, config=config, stats=r) for x, r in zip(shapes, runs)]
     if stats is not None:
         stats["routes"] = runs
     return counts

@@ -136,7 +136,8 @@ class TestRouteInEnvelope:
     # the route is the one that ran, as choose_route prices it, with a
     # 1-based axis as --vary takes it; a scan with one value or packed
     # polynomial per state adds its states, as predicted from their bound
-    # and as reached
+    # and as reached.  A count is a value at q = 1/2, and float eval a
+    # value at its binary64 q
 
     @pytest.mark.parametrize(
         "argv,name,axis",
@@ -146,14 +147,14 @@ class TestRouteInEnvelope:
          (["count", "--n", "25", "--s", "2"], "inclusion-exclusion", 1),
          (["count", "--n", "4,22", "--s", "4,3"], "inclusion-exclusion", 2),
          (["poly", "--n", "4,5", "--s", "2,2"], "inclusion-exclusion", 2),
-         (["eval", "--n", "200", "--s", "5", "--q", "0.3"], "transfer-matrix", 1)],
+         (["eval", "--n", "200", "--s", "5", "--q", "0.3"], "inclusion-exclusion", 1),
+         (["curve", "--n", "3,4", "--s", "2,2", "--steps", "10"],
+          "inclusion-exclusion", 2)],
     )
     def test_route(self, capsys, argv, name, axis):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        # a count is a value at q = 1/2
-        q = Fraction(1, 2) if argv[0] == "count" else None
-        route = choose_route(self._shape(argv), q=q)
+        route = choose_route(self._shape(argv), q=self._q(argv))
         reported = json.loads(out)["route"]
         states = reported.pop("states", None)
         assert reported == {
@@ -203,7 +204,7 @@ class TestRouteInEnvelope:
     def test_packed_scan(self, capsys, argv, axis, reached):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        route = choose_route(self._shape(argv))
+        route = choose_route(self._shape(argv), q=self._q(argv))
         assert json.loads(out)["route"] == {
             "name": "inclusion-exclusion", "axis": axis, "payload": "packed",
             "seconds": route.seconds, "bytes": route.nbytes,
@@ -230,6 +231,16 @@ class TestRouteInEnvelope:
             [int(x) for x in argv[argv.index(flag) + 1].split(",")]
             for flag in ("--n", "--s")
         ))
+
+    @staticmethod
+    def _q(argv):
+        """The q that the call's route is priced at: None for a polynomial."""
+        if argv[0] == "count":
+            return Fraction(1, 2)
+        if argv[0] != "eval":
+            return None
+        q = Fraction(argv[argv.index("--q") + 1])
+        return q if "--exact" in argv else Fraction(float(q))
 
 
 class TestCount:

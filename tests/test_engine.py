@@ -420,10 +420,10 @@ class TestCounts:
         # record which of the two paths count_sequence takes: one value
         # scan of the final extent, or each extent by its count route
         paths = []
-        for name in ("_window_layer_values", "_reliability"):
-            def spy(*args, _name=name, _original=getattr(engine, name)):
+        for name in ("_window_layer_values", "failed_count"):
+            def spy(*args, _name=name, _original=getattr(engine, name), **kwargs):
                 paths.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, spy)
         return paths
@@ -447,7 +447,7 @@ class TestCounts:
         paths = self._count_paths(monkeypatch)
         stats = {}
         assert count_sequence([2, 25], [2, 2], 0, 3, stats=stats) == expected
-        assert paths == ["_reliability", "_window_layer_values"] * 2
+        assert paths == ["failed_count", "_window_layer_values"] * 2
         assert [run["route"].axis for run in stats["routes"]] == [1, 1]
 
     def test_count_reports_its_route(self):
@@ -704,6 +704,32 @@ class TestWindowLayerValues:
             assert stats["route"] == choose_route(shape, q=q)
             assert stats["route"].payload == payload, n
             assert ("states" in stats) == (payload == VALUE)
+
+    @pytest.mark.parametrize("q", [Fraction(-1, 2), Fraction(-1, 10**30), 2,
+                                   1 + Fraction(1, 10**30)])
+    def test_rejects_q_outside_the_unit_interval(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"got {q}")):
+            engine.exact_reliability(validate_shape([5], [2]), q)
+
+    def test_ends_of_the_unit_interval(self):
+        shape = validate_shape([5], [2])
+        assert engine.exact_reliability(shape, 0) == 1
+        assert engine.exact_reliability(shape, 1) == 0
+
+    def test_float_is_the_exact_value_rounded_once(self):
+        # at a binary64 q, whatever route the value takes, float() of it is
+        # eval_float's correctly rounded value, for R and for P; past the
+        # catalog, [200]x[5] and [300]x[3] take the value scan at q = 0.3
+        qs = [0.0, 5e-324, 0.001, 0.3, 0.5, 0.99, 0.999, 1.0]
+        shapes = catalog() + [validate_shape([200], [5]), validate_shape([300], [3])]
+        for shape in shapes:
+            p = failure_polynomial(shape)
+            r = 1 - p
+            for q in qs:
+                value = engine.exact_reliability(shape, Fraction(q))
+                assert float(value) == r.eval_float(q), (shape, q)
+                assert float(1 - value) == p.eval_float(q), (shape, q)
+        assert choose_route(shapes[-1], q=Fraction(0.3)).payload == VALUE
 
     def test_reaches_past_the_polynomial(self):
         # [12,12]x[3,3]: no polynomial fits as rows of coefficients, the
@@ -993,6 +1019,20 @@ class TestRefusesBeforeAllocating:
             lambda: engine._window_layer_polynomial(shape, 0)
         )
         assert peak < 1 << 20
+
+    def test_window_layer_scan_names_the_int64_bound(self):
+        # |E| = 62 along axis 2: the rows refuse by their coefficient
+        # width, not by a predicted cost, and point to the packed scan
+        shape = validate_shape([2, 63], [2, 2])
+        peak = self._peak_bytes_while_refused(
+            lambda: engine._window_layer_polynomial(shape, 1)
+        )
+        assert peak < 1 << 20
+        with pytest.raises(ResourceLimitError) as exc:
+            engine._window_layer_polynomial(shape, 1)
+        message = str(exc.value)
+        assert "62 windows exceed the 61" in message and "int64" in message
+        assert "packed scan" in message and "predicts" not in message
 
     def test_window_layer_scan_within_a_low_budget(self, monkeypatch):
         # |E| = 24 on int64: the rows refuse by their predicted bytes
