@@ -65,6 +65,11 @@ them: inclusion-exclusion has no cap on |E| of its own.  Each refuses
 with :class:`~relpoly.model.ResourceLimitError` before it allocates, and
 so does the choice when none fits.
 
+Only the array routes import numpy, when they run: the sweep, the
+window-layer rows and the transfer matrix.  The pricing and the scans
+with one Python int per state need none of it, so a process whose calls
+they answer never loads it.
+
 The worker rule lives here as well: :func:`resolve_workers` reads
 ``RELPOLY_WORKERS`` and :func:`ordered_map` runs jobs in job order on a
 thread pool of at most one thread per core.  The Monte Carlo estimator
@@ -78,14 +83,10 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .model import (
     IntPolynomial,
@@ -94,6 +95,9 @@ from .model import (
     validate_shape,
 )
 from .oracle import WeightTally, tally_to_polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INCLUSION_EXCLUSION",
@@ -154,16 +158,6 @@ _BLOCK_BITS = 20
 # counted one by one, 12.4 for uint16 keys.
 _BLOCK_BYTES_PER_ENTRY = 16
 
-# The table is read as little-endian uint64 words of 8, 4 or 2 lanes.  A
-# zeta pass within a word moves the lanes masked here (the low half of each
-# group of 2 * shift bits) up by ``shift`` bits and adds them.
-_WORD = np.dtype("<u8")
-_UINT8, _UINT16, _UINT32 = map(np.dtype, (np.uint8, np.uint16, np.uint32))
-_LOW_LANES = {
-    shift: np.uint64(sum(((1 << shift) - 1) << g for g in range(0, 64, 2 * shift)))
-    for shift in (8, 16, 32)
-}
-
 # State tensors alive at the peak of one scan step, as multiples of the
 # final one: the current state and its successor, one weight wider (2.0
 # measured with tracemalloc on the largest int64 scans), plus slack.
@@ -205,13 +199,16 @@ _SCAN_SECONDS_PER_REBUILD_STEP = 2.2e-7
 # with |E| = 8-58 (the support cached, as after a first call): 0.12 ms per
 # call, 25 us per layer and 1.1 ns per coefficient, each pair within
 # 0.51-1.32x of its median.  The support of a window layer is counted
-# exactly up to 2^_LAYER_SUPPORT_MAX_WINDOWS subsets (about 0.1 ms, once
-# per cross-section), and bounded by 2^W beyond.  Counting it peaks at
-# 57-60 bytes per subset (tracemalloc), the start table at 24 per joint
-# state.
+# exactly up to 2^_LAYER_SUPPORT_MAX_WINDOWS subsets (0.1-0.6 ms, once per
+# cross-section), and bounded by 2^W beyond.  It is charged 64 bytes per
+# subset.  Counting it peaks (tracemalloc) at 1-12 bytes per subset where
+# windows overlap and footprints merge, and at 101 on series layers, whose
+# 2^W footprints are all distinct; the start table at 24 per joint state.
 _LAYER_SUPPORT_MAX_WINDOWS = 12
 # A coefficient of the rows lies in [-2^|E|, 2^|E|]: int64 up to 61 windows.
+# A footprint of the rows is a uint64 mask of the cross-section's cells.
 _LAYER_INT64_MAX_WINDOWS = 61
+_LAYER_UINT64_MAX_CELLS = 64
 _LAYER_SUPPORT_BYTES_PER_SUBSET = 64
 _LAYER_BYTES_PER_JOINT_STATE = 24
 _LAYER_SECONDS_PER_CALL = 1.2e-4
@@ -282,6 +279,8 @@ def ordered_map(fn, jobs: Sequence[tuple], workers: int) -> list:
     workers = _pool_threads(workers, len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda job: fn(*job), jobs))
 
@@ -443,13 +442,14 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _zeta_dtype(covered_cells: int) -> np.dtype:
-    """Narrowest unsigned dtype that holds every zeta table value."""
+def _zeta_itemsize(covered_cells: int) -> int:
+    """Bytes of the narrowest unsigned integer that holds every zeta table
+    value: 1, 2 or 4."""
     if covered_cells <= 0xFF:
-        return _UINT8
+        return 1
     if covered_cells <= 0xFFFF:
-        return _UINT16
-    return _UINT32
+        return 2
+    return 4
 
 
 def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> RouteCost:
@@ -458,9 +458,9 @@ def _inclusion_exclusion_cost(shape: SystemShape, config: EngineConfig) -> Route
     block = min(subsets, 1 << _BLOCK_BITS)
     blocks = subsets / block
     threads = _pool_threads(config.resolved_workers(), blocks)
-    key_bytes = _zeta_dtype(2 * volume + 1).itemsize
+    key_bytes = _zeta_itemsize(2 * volume + 1)
     nbytes = (
-        subsets * _zeta_dtype(volume).itemsize  # the table
+        subsets * _zeta_itemsize(volume)  # the table
         + block * (key_bytes + threads * _BLOCK_BYTES_PER_ENTRY)
         + blocks * 16 * (volume + 1)  # one int64 tally per block
     )
@@ -521,7 +521,7 @@ def _window_layer_cost(shape: SystemShape, axis: int) -> RouteCost:
     """
     n_a, s_a, volume = shape.n[axis], shape.s[axis], shape.volume
     cells = volume // n_a
-    if cells > 64 or shape.num_windows > _LAYER_INT64_MAX_WINDOWS:
+    if cells > _LAYER_UINT64_MAX_CELLS or shape.num_windows > _LAYER_INT64_MAX_WINDOWS:
         return RouteCost(INCLUSION_EXCLUSION, math.inf, math.inf, axis)
     per_layer, u = _layer_footprints(shape, axis)
     states = _power(u, s_a - 1)
@@ -573,9 +573,6 @@ def _window_layer_value_cost(
     """
     n_a, s_a = shape.n[axis], shape.s[axis]
     cells = shape.volume // n_a
-    if cells > 64:
-        inf = math.inf
-        return RouteCost(INCLUSION_EXCLUSION, inf, inf, axis, payload, inf)
     per_layer, u = _layer_footprints(shape, axis)
     states = min(_power(u, s_a - 1), _power(s_a, cells))
     steps = states * (u + cells + 1)
@@ -652,14 +649,18 @@ def _zeta_passes(f: np.ndarray, bits: range) -> None:
     A pass across words adds whole words; a pass within a word shifts the
     low lanes of each group onto the high ones.
     """
-    lanes = _WORD.itemsize // f.itemsize
-    words = f.view(_WORD)
+    import numpy as np
+
+    lanes = 8 // f.itemsize
+    words = f.view("<u8")
     moved = None
     for i in bits:
         stride = 1 << i
         if stride < lanes:
+            # the low half of each group of 2 * shift bits moves up by shift
             shift = 8 * f.itemsize * stride
-            moved = np.bitwise_and(words, _LOW_LANES[shift], out=moved)
+            low = sum(((1 << shift) - 1) << g for g in range(0, 64, 2 * shift))
+            moved = np.bitwise_and(words, np.uint64(low), out=moved)
             moved <<= np.uint64(shift)
             words += moved
         else:
@@ -678,9 +679,11 @@ def _zeta_table(table: CellMaskTable) -> np.ndarray:
     table; each block runs its own low passes in :func:`_block_tally`.
     Holds at least one word, zero past ``2^num_windows``.
     """
+    import numpy as np
+
     m = table.num_windows
-    dtype = _zeta_dtype(table.covered_cells)
-    f = np.zeros(max(1 << m, _WORD.itemsize // dtype.itemsize), dtype=dtype)
+    itemsize = _zeta_itemsize(table.covered_cells)
+    f = np.zeros(max(1 << m, 8 // itemsize), dtype=f"<u{itemsize}")
     for mask, mult in table.groups:
         f[mask] = mult
     _zeta_passes(f, range(_BLOCK_BITS, m))
@@ -697,10 +700,12 @@ def _block_tally(
     of the low bits of S (``parity``, one entry per block entry); ``odd``
     says the block index has odd parity, which swaps the columns.
     """
+    import numpy as np
+
     _zeta_passes(block, range(size.bit_length() - 1))
     if parity.dtype == block.dtype:  # the keys fit the lanes: shift words
-        words = block.view(_WORD) << np.uint64(1)
-        words |= parity.view(_WORD)
+        words = block.view("<u8") << np.uint64(1)
+        words |= parity.view("<u8")
         keys = words.view(parity.dtype)[:size]
     else:
         keys = block[:size].astype(parity.dtype) << 1 | parity[:size]
@@ -736,6 +741,8 @@ def inclusion_exclusion_polynomial(
     table = _checked_table(shape, config)
     if table is None:
         return IntPolynomial.zero()
+    import numpy as np
+
     m = table.num_windows
     covered = table.covered_cells
     f = _zeta_table(table)
@@ -743,7 +750,7 @@ def inclusion_exclusion_polynomial(
     span = min(len(f), 1 << _BLOCK_BITS)  # the same, padded to a word
     # parity of the low bits of S, one key per block entry: each doubling
     # appends the pattern so far with one more bit set
-    parity = np.zeros(span, dtype=_zeta_dtype(2 * covered + 1))
+    parity = np.zeros(span, dtype=f"<u{_zeta_itemsize(2 * covered + 1)}")
     for i in range(span.bit_length() - 1):
         np.bitwise_xor(parity[: 1 << i], 1, out=parity[1 << i : 2 << i])
     parts = ordered_map(
@@ -774,7 +781,7 @@ def _cross_section(shape: SystemShape, axis: int) -> tuple[tuple[int, ...], ...]
 @lru_cache(maxsize=64)
 def _layer_support(
     cross_n: tuple[int, ...], cross_s: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Footprints of one window layer's subsets, with their signed counts.
 
     A window layer holds the windows at one offset along the scan axis;
@@ -783,8 +790,13 @@ def _layer_support(
     windows cover (row-major, last axis fastest), and the signed count of a
     footprint f is the sum of ``(-1)^|J|`` over the subsets with footprint
     f.  Returns the footprints whose signed count is not zero, ascending,
-    and those counts; the first is the empty footprint, with count 1.  The
-    arrays are cached and read-only.
+    and those counts; the first is the empty footprint, with count 1.
+
+    Each window w doubles the subsets so far: every footprint f with count
+    c gains ``f | w`` with count -c.  The counts are merged by footprint in
+    place, over a copy of the footprints before w, and a footprint whose
+    count cancels to zero is dropped, since it adds zero to every footprint
+    it leads to.
     """
     strides = [math.prod(cross_n[r + 1 :]) for r in range(len(cross_n))]
 
@@ -792,21 +804,22 @@ def _layer_support(
         return 1 << sum(c * st for c, st in zip(cell, strides))
 
     box = sum(map(bit, itertools.product(*map(range, cross_s))))
-    feet = np.zeros(1, np.uint64)
-    signs = np.ones(1, np.int64)
+    signed = {0: 1}
+    get = signed.get
     corners = itertools.product(
         *[range(nr - sr + 1) for nr, sr in zip(cross_n, cross_s)]
     )
-    for corner in corners:  # each window doubles the subsets so far
-        feet = np.concatenate([feet, feet | np.uint64(box * bit(corner))])
-        signs = np.concatenate([signs, -signs])
-    support, inverse = np.unique(feet, return_inverse=True)
-    # |count| <= 2^W, exact in np.bincount's float64 weights
-    counts = np.bincount(inverse, weights=signs).astype(np.int64)
-    keep = counts != 0
-    support, counts = support[keep], counts[keep]
-    support.flags.writeable = counts.flags.writeable = False
-    return support, counts
+    for corner in corners:
+        window = box * bit(corner)
+        for f, c in signed.copy().items():
+            g = f | window
+            c = get(g, 0) - c
+            if c:
+                signed[g] = c
+            else:
+                del signed[g]
+    support = tuple(sorted(signed))
+    return support, tuple(signed[f] for f in support)
 
 
 def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
@@ -829,28 +842,43 @@ def _window_layer_polynomial(shape: SystemShape, axis: int) -> IntPolynomial:
     of footprints with polynomial 1, and the last layer's states sum to R.
 
     Every partial sum counts distinct window sets, so it stays within
-    ``2^|E|`` and the coefficients are int64 while ``|E| <= 61``; past
-    that the packed scan (:func:`_packed_polynomial`) builds the
-    polynomial.  Returns the zero polynomial for non-failable shapes.
-    Raises :class:`~relpoly.model.ResourceLimitError` before allocating,
-    naming that bound and the packed scan when ``|E| >= 62``, or the
+    ``2^|E|`` and the coefficients are int64 while ``|E| <= 61``, and the
+    footprints are uint64 masks while the cross-section has at most 64
+    cells; past either bound the packed scan (:func:`_packed_polynomial`)
+    builds the polynomial.  Returns the zero polynomial for non-failable
+    shapes.  Raises :class:`~relpoly.model.ResourceLimitError` before
+    allocating, naming the bound and the packed scan past one, or the
     prediction when the rows would not fit in half the physical memory.
     """
     if not shape.failable:
         return IntPolynomial.zero()
+    cells = shape.volume // shape.n[axis]
+    bound = None
     if shape.num_windows > _LAYER_INT64_MAX_WINDOWS:
+        bound = (
+            f"its {shape.num_windows} windows exceed the "
+            f"{_LAYER_INT64_MAX_WINDOWS} whose coefficients fit int64"
+        )
+    elif cells > _LAYER_UINT64_MAX_CELLS:
+        bound = (
+            f"its cross-section along axis {axis + 1} has {cells} cells, more "
+            f"than the {_LAYER_UINT64_MAX_CELLS} bits of a footprint mask"
+        )
+    if bound:
         raise ResourceLimitError(
-            f"window-layer rows of instance {shape}: its {shape.num_windows} windows "
-            f"exceed the {_LAYER_INT64_MAX_WINDOWS} whose coefficients fit int64. The "
-            "packed scan (payload 'packed') builds the polynomial exactly; where no "
-            "exact route fits, fall back to the Monte Carlo estimator (CLI "
-            "subcommand 'mc')."
+            f"window-layer rows of instance {shape}: {bound}. The packed scan "
+            "(payload 'packed') builds the polynomial exactly; where no exact "
+            "route fits, fall back to the Monte Carlo estimator (CLI subcommand "
+            "'mc')."
         )
     _within_budget(shape, [_window_layer_cost(shape, axis)])
-    cells = shape.volume // shape.n[axis]
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     held = shape.s[axis] - 1
     window_layers = shape.n[axis] - held
-    support, counts = _layer_support(*_cross_section(shape, axis))
+    feet, signs = _layer_support(*_cross_section(shape, axis))
+    support, counts = np.array(feet, np.uint64), np.array(signs, np.int64)
     u = len(support)
     # start[k_0, ..., k_held]: the cells of a cell layer that footprints
     # k_0 .. k_held leave uncovered.  A row stored after ``cells`` zeros
@@ -937,7 +965,7 @@ def _window_layer_values(
     window_layers = shape.n[axis] - held
     support, counts = _layer_support(*_cross_section(shape, axis))
     spread = sum(1 << (i * cells) for i in range(held))  # one bit per slot
-    moves = [(f, f * spread, c) for f, c in zip(support.tolist(), counts.tolist())]
+    moves = [(f, f * spread, c) for f, c in zip(support, counts)]
     weights = [a**k * b ** (cells - k) for k in range(cells + 1)]
     shifts = None
     if all(w > 0 and w & (w - 1) == 0 for w in weights):
@@ -1015,6 +1043,8 @@ def _survivor_state(shape: SystemShape, axis: int) -> np.ndarray:
     The weight axis grows by one per cell.  Counts are int64 while ``2^N``
     fits, Python ints otherwise.
     """
+    import numpy as np
+
     cross_n, cross_s = _cross_section(shape, axis)
     cap = shape.s[axis]
     cells = math.prod(cross_n)
@@ -1166,15 +1196,23 @@ def exact_reliability(
     if not 0 <= q <= 1:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     route = choose_route(shape, q=q, config=config)
-    if route.payload == VALUE:
-        (value,), reached = _window_layer_values(shape, route.axis, q, shape.n[route.axis])
-        reliability = Fraction(value, q.denominator**shape.volume)
-    else:
-        poly, reached = _failure_polynomial(shape, route, config)
-        reliability = 1 - poly.eval_rational(q)
+    reliability, reached = _reliability(shape, q, route, config)
     if stats is not None:
         stats.update(_record(route, reached))
     return reliability
+
+
+def _reliability(
+    shape: SystemShape, q: Fraction, route: RouteCost, config: EngineConfig | None
+) -> tuple[Fraction, int | None]:
+    """R at ``q`` by ``route``, as :func:`choose_route` priced it for a value
+    at ``q``, and the most states its scan held (None for the rows, the
+    sweep and the transfer matrix)."""
+    if route.payload == VALUE:
+        (value,), reached = _window_layer_values(shape, route.axis, q, shape.n[route.axis])
+        return Fraction(value, q.denominator**shape.volume), reached
+    poly, reached = _failure_polynomial(shape, route, config)
+    return 1 - poly.eval_rational(q), reached
 
 
 def count_sequence(
@@ -1195,10 +1233,11 @@ def count_sequence(
     ``2^(t * cells)`` times the reliability of extent t at q = 1/2.  It is
     taken when it fits and its predicted time is at most the sum of the
     extents' own count routes (:func:`failed_count`); otherwise each
-    extent is counted by its route.  The extents are priced from the
-    largest down, and only until their sum reaches the scan's.  A
-    ``stats`` dict receives what :func:`failed_count` reports for the one
-    scan, or under ``"routes"`` a list of those reports, one per extent.
+    extent is counted by the route it was priced with.  The extents are
+    priced from the largest down, and only until their sum reaches the
+    scan's.  A ``stats`` dict receives what :func:`failed_count` reports
+    for the one scan, or under ``"routes"`` a list of those reports, one
+    per extent.
     """
     n = list(n)
     if not 0 <= axis < len(n):
@@ -1210,22 +1249,27 @@ def count_sequence(
     final = validate_shape(n, s)
     scan = _window_layer_value_cost(final, axis, final.volume)
     scan_fits = scan.nbytes <= memory_budget()
-    shapes: list[SystemShape] = []  # ascending, as the counts are returned
+    priced: list[tuple[SystemShape, RouteCost]] = []  # ascending, as returned
     total = 0.0
     for v in range(stop, start - 1, -1):
         if scan_fits and total >= scan.seconds:
             break
         n[axis] = v
-        shapes.insert(0, validate_shape(n, s))
-        total += choose_route(shapes[0], q=_HALF, config=config).seconds
+        shape = validate_shape(n, s)
+        route = choose_route(shape, q=_HALF, config=config)
+        priced.insert(0, (shape, route))
+        total += route.seconds
     if scan_fits and total >= scan.seconds:
         survivors, reached = _window_layer_values(final, axis, _HALF, start)
         if stats is not None:
             stats.update(_record(scan, reached))
         cells = final.volume // stop
         return [(1 << (t * cells)) - v for t, v in enumerate(survivors, start)]
-    runs: list[dict] = [{} for _ in shapes]
-    counts = [failed_count(x, config=config, stats=r) for x, r in zip(shapes, runs)]
+    counts, runs = [], []
+    for shape, route in priced:
+        reliability, reached = _reliability(shape, _HALF, route, config)
+        counts.append(int((1 - reliability) * 2**shape.volume))
+        runs.append(_record(route, reached))
     if stats is not None:
         stats["routes"] = runs
     return counts

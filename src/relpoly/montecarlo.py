@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .engine import _pool_threads, memory_budget, ordered_map, resolve_workers
 from .model import SystemShape
 from .oracle import detect_failures
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DEFAULT_BATCH_SIZE", "McEstimate", "estimate_failure_probability"]
 
@@ -65,6 +67,8 @@ class McEstimate:
 
 
 def _batch_bits(seed: int, batch_index: int) -> np.random.Philox:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
     return np.random.Philox(ss)
 
@@ -77,6 +81,8 @@ def _draw_cells(bits: np.random.Philox, q: float, cells: tuple[int, int]) -> np.
     is that integer comparison on the raw words, the same draws without
     the float conversion.  At q = 1 the bound is 2^64 and every cell is 1.
     """
+    import numpy as np
+
     limit = math.ceil(q * 2**53) << 11
     if limit >> 64:
         return np.ones(cells, dtype=bool)

@@ -15,10 +15,12 @@ locally from the shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import IntPolynomial, ResourceLimitError, SystemShape
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -57,6 +59,8 @@ def detect_failures(shape: SystemShape, patterns: np.ndarray) -> np.ndarray:
     read.  ``any`` runs over a view of the valid corners.  The input is
     never written; for a bool input the peak is one bool copy plus O(B).
     """
+    import numpy as np
+
     patterns = np.asarray(patterns)
     if patterns.ndim != 2 or patterns.shape[1] != shape.volume:
         raise ValueError(f"expected a (batch, {shape.volume}) array")
@@ -116,6 +120,8 @@ def brute_force_tally(shape: SystemShape) -> WeightTally:
             f"brute force over 2^{volume} configurations exceeds the oracle "
             f"cap of N <= {DEFAULT_ORACLE_CAP}"
         )
+    import numpy as np
+
     f = np.zeros(volume + 1, dtype=np.int64)
     if shape.failable:
         for start in range(0, 1 << volume, _TALLY_CHUNK):
@@ -142,6 +148,8 @@ def tally_to_polynomial(tally: WeightTally) -> IntPolynomial:
     ``1 - q`` (one vectorised subtraction of the shifted coefficients) and
     adds ``f_k q^k``.  Coefficients are Python ints in an object array.
     """
+    import numpy as np
+
     coeffs = np.zeros(len(tally.f), dtype=object)
     for k, fk in enumerate(tally.f):
         coeffs[1 : k + 1] -= coeffs[:k]

@@ -142,6 +142,38 @@ def naive_window_scan(shape, bits):
     return any(window_cells(shape, e) <= ones for e in corners)
 
 
+def layer_support_by_subsets(cross_n, cross_s):
+    """Footprints of one window layer's subsets with their signed counts,
+    by listing all 2^W subsets of its W windows, none merged on the way.
+
+    The windows are the ``cross_s`` boxes of the ``cross_n`` cross-section,
+    built as cell sets; the footprint of a subset is the bitmask of the
+    cells its windows cover, bit i the cell at flat index i (row-major, the
+    order ``itertools.product`` lists cells in).  Returns the footprints
+    whose signed count, the sum of ``(-1)^|J|`` over their subsets J, is not
+    zero, ascending, and those counts.
+    """
+    cells = list(itertools.product(*map(range, cross_n)))
+    corners = itertools.product(
+        *[range(nr - sr + 1) for nr, sr in zip(cross_n, cross_s)]
+    )
+    boxes = [
+        {tuple(c + o for c, o in zip(corner, offs))
+         for offs in itertools.product(*map(range, cross_s))}
+        for corner in corners
+    ]
+    masks = [sum(1 << i for i, c in enumerate(cells) if c in box) for box in boxes]
+    counts = {}
+    for bits in range(1 << len(masks)):
+        foot = 0
+        for j, mask in enumerate(masks):
+            if bits >> j & 1:
+                foot |= mask
+        counts[foot] = counts.get(foot, 0) + (-1) ** bits.bit_count()
+    support = sorted(f for f, c in counts.items() if c)
+    return tuple(support), tuple(counts[f] for f in support)
+
+
 def one_dim_recursion(k, n, q):
     """Reliability of the 1-D system, by the classic linear recursion.
 

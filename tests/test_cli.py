@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -487,6 +488,71 @@ class TestMc:
         code, _, _ = run(capsys, "mc", "--n", "3,3", "--s", "2,2", "--q", "0.3",
                          "--samples", "0", "--seed", "7")
         assert code == 2
+
+
+class TestStartUp:
+    # the calls the window-layer scans with one Python int per state answer
+    # (cli-mix's poly, eval, count and curve calls) load neither numpy nor
+    # the thread pool; oracle and mc load numpy when they run
+    SCANS = [
+        ["poly", "--n", "4,5", "--s", "2,2"],
+        ["poly", "--n", "2,12", "--s", "2,3", "--target", "p", "--format", "json"],
+        ["eval", "--n", "4,5", "--s", "2,2", "--q", "0.3"],
+        ["eval", "--n", "16", "--s", "3", "--q", "1/3", "--exact"],
+        ["eval", "--n", "25", "--s", "2", "--q", "0.99"],
+        ["count", "--n", "4,4", "--s", "2,2"],
+        ["count", "--n", "2,2", "--s", "2,2", "--vary", "2", "--to", "16"],
+        ["curve", "--n", "3,4", "--s", "2,2", "--steps", "50"],
+    ]
+    ARRAYS = [
+        ["oracle", "--n", "3", "--s", "2", "--check"],
+        ["mc", "--n", "3,3", "--s", "2,2", "--q", "0.3", "--samples", "1000",
+         "--seed", "11", "--format", "json"],
+    ]
+    PROGRAM = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import relpoly, relpoly.cli
+
+        def loaded():
+            return [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+
+        report = {"import": loaded(), "runs": []}
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = relpoly.cli.main(argv)
+            report["runs"].append([code, out.getvalue(), loaded()])
+        print(json.dumps(report))
+    """)
+
+    @staticmethod
+    def _comparable(out):
+        if not out.startswith("{"):
+            return out
+        env = json.loads(out)
+        del env["elapsed_ms"]
+        return env
+
+    def test_scans_load_no_numpy(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(relpoly.__file__).parents[1]))
+        calls = json.dumps(self.SCANS + self.ARRAYS)
+        done = subprocess.run([sys.executable, "-c", self.PROGRAM, calls], env=env,
+                              capture_output=True, text=True, check=True)
+        report = json.loads(done.stdout)
+        assert report["import"] == []
+        runs = report["runs"]
+        for argv, (code, out, modules) in zip(self.SCANS, runs):
+            assert code == 0 and modules == [], argv
+            expected = run(capsys, *argv)[1]
+            assert self._comparable(out) == self._comparable(expected), argv
+        (code, out, modules), (mc_code, mc_out, _) = runs[len(self.SCANS):]
+        assert code == 0 and "numpy" in modules
+        assert "a=3" in out and "f=[0, 0, 2, 1]" in out
+        assert "P = 2q^2 - q^3" in out and "MATCH" in out
+        result = json.loads(mc_out)["result"]
+        assert mc_code == 0 and result["seed"] == 11 and result["rng"] == "philox4x64"
+        assert result["failures"] <= result["samples"] == 1000
+        assert result["ci95"][0] <= result["p_hat"] <= result["ci95"][1]
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from helpers import (
     catalog,
     intersection_cells,
     intersection_volume,
+    layer_support_by_subsets,
     one_dim_recursion,
     subset_sum_polynomial,
     union_cells,
@@ -316,7 +317,8 @@ class TestWorkers:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr("relpoly.engine.ThreadPoolExecutor", SerialPool)
+        # the pool class is looked up when a pool is built
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         jobs = [(i,) for i in range(64)]
         assert ordered_map(lambda i: i * i, jobs, 10_000) == [i * i for i in range(64)]
@@ -420,7 +422,7 @@ class TestCounts:
         # record which of the two paths count_sequence takes: one value
         # scan of the final extent, or each extent by its count route
         paths = []
-        for name in ("_window_layer_values", "failed_count"):
+        for name in ("_window_layer_values", "_reliability"):
             def spy(*args, _name=name, _original=getattr(engine, name), **kwargs):
                 paths.append(_name)
                 return _original(*args, **kwargs)
@@ -447,8 +449,26 @@ class TestCounts:
         paths = self._count_paths(monkeypatch)
         stats = {}
         assert count_sequence([2, 25], [2, 2], 0, 3, stats=stats) == expected
-        assert paths == ["failed_count", "_window_layer_values"] * 2
+        assert paths == ["_reliability", "_window_layer_values"] * 2
         assert [run["route"].axis for run in stats["routes"]] == [1, 1]
+
+    def test_per_extent_sequence_prices_each_extent_once(self, monkeypatch):
+        # the routes priced against the one scan are the routes each extent
+        # is counted by; counts and reports are those of failed_count
+        shapes = [validate_shape([m, 25], [2, 2]) for m in (2, 3)]
+        runs = [{} for _ in shapes]
+        expected = [failed_count(x, stats=r) for x, r in zip(shapes, runs)]
+        priced = []
+
+        def spy(shape, **kwargs):
+            priced.append(shape)
+            return choose_route(shape, **kwargs)
+
+        monkeypatch.setattr(engine, "choose_route", spy)
+        stats = {}
+        assert count_sequence([2, 25], [2, 2], 0, 3, stats=stats) == expected
+        assert stats == {"routes": runs}
+        assert sorted(priced, key=lambda x: x.n) == shapes
 
     def test_count_reports_its_route(self):
         stats = {}
@@ -620,13 +640,32 @@ class TestWindowLayerScan:
     def test_support_of_one_window_layer(self):
         # [3]x[2]: windows {0,1} and {1,2}; each footprint has one subset
         support, counts = engine._layer_support((3,), (2,))
-        assert support.tolist() == [0b000, 0b011, 0b110, 0b111]
-        assert counts.tolist() == [1, -1, -1, 1]
+        assert support == (0b000, 0b011, 0b110, 0b111)
+        assert counts == (1, -1, -1, 1)
         # [4]x[2]: {0,1,2,3} is covered by {w0, w2} and by {w0, w1, w2},
-        # whose signs cancel
+        # whose signs cancel; the cached support is immutable
         support, counts = engine._layer_support((4,), (2,))
-        assert 0b1111 not in support.tolist()
-        assert not support.flags.writeable
+        assert 0b1111 not in support
+        assert isinstance(support, tuple) and isinstance(counts, tuple)
+
+    # cross-sections past the catalog's W <= 12: series layers (s = 1) and
+    # 2-D layers with W = 13-16
+    WIDE_LAYERS = [((13,), (1,)), ((16,), (1,)), ((4, 4), (1, 1)), ((14,), (2,)),
+                   ((17,), (2,)), ((5, 5), (2, 2)), ((6, 6), (3, 3)), ((5, 6), (2, 3))]
+
+    def test_support_by_every_subset(self):
+        # the footprints merged as they go, against every subset listed
+        sections = sorted({engine._cross_section(x, a) for x in catalog()
+                           for a in range(x.d)})
+        small = [
+            (n, s) for n, s in sections
+            if math.prod(nr - sr + 1 for nr, sr in zip(n, s)) <= 12
+        ]
+        assert len(small) > 100
+        for cross in small + self.WIDE_LAYERS:
+            assert engine._layer_support(*cross) == layer_support_by_subsets(*cross), (
+                cross
+            )
 
 
 class TestWindowLayerValues:
@@ -674,6 +713,19 @@ class TestWindowLayerValues:
         assert 2**shape.volume * (1 - half) == tally.total
         q = Fraction(19, 50)
         assert 1 - self._value(shape, 1, q) == tally_to_polynomial(tally).eval_rational(q)
+
+    def test_past_the_64_cell_bound(self):
+        # [2,70]x[2,70] along axis 1: 70 cells a cross-section, more than a
+        # uint64 footprint holds; the Python-int footprints of the value and
+        # packed scans take them, and agree with the sweep
+        shape = validate_shape([2, 70], [2, 70])
+        poly = inclusion_exclusion_polynomial(shape)
+        count = poly.eval_rational(Fraction(1, 2)) * 2**shape.volume
+        assert 2**shape.volume * (1 - self._value(shape, 0, Fraction(1, 2))) == count
+        for q in self.QS:
+            assert 1 - self._value(shape, 0, q) == poly.eval_rational(q), q
+        assert engine._packed_polynomial(shape, 0)[0] == poly
+        assert engine._window_layer_value_cost(shape, 0, 140).seconds < math.inf
 
     def test_states_merge_by_suffix_unions(self):
         # [10,10]x[3,3]: 48 footprints a window layer, two held, so 2304
@@ -1033,6 +1085,23 @@ class TestRefusesBeforeAllocating:
         message = str(exc.value)
         assert "62 windows exceed the 61" in message and "int64" in message
         assert "packed scan" in message and "predicts" not in message
+
+    def test_window_layer_scan_names_the_footprint_bound(self):
+        # [2,70]x[2,70] along axis 1: a 70-cell cross-section, one window;
+        # the rows refuse by their uint64 footprints and point to the
+        # packed scan, which builds it (TestWindowLayerValues)
+        shape = validate_shape([2, 70], [2, 70])
+        peak = self._peak_bytes_while_refused(
+            lambda: engine._window_layer_polynomial(shape, 0)
+        )
+        assert peak < 1 << 20
+        with pytest.raises(ResourceLimitError) as exc:
+            engine._window_layer_polynomial(shape, 0)
+        message = str(exc.value)
+        assert "along axis 1 has 70 cells" in message
+        assert "64 bits of a footprint mask" in message
+        assert "packed scan" in message and "predicts" not in message
+        assert engine._window_layer_cost(shape, 0).seconds == math.inf
 
     def test_window_layer_scan_within_a_low_budget(self, monkeypatch):
         # |E| = 24 on int64: the rows refuse by their predicted bytes
